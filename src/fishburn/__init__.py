@@ -14,7 +14,6 @@ from fishburn.enumeration import (
     AvoidanceQuery,
     CapacityError,
     count,
-    count_by_one_position,
     members,
     search,
 )
@@ -22,18 +21,17 @@ from fishburn.patterns import (
     ClassicalPattern,
     PatternSet,
     avoids,
-    contains_classical,
     contains_fishburn,
     parse_pattern,
 )
-from fishburn.perm import ParseError, Permutation, identity
+from fishburn.perm import ParseError, Permutation
 from fishburn.sequences import (
     TABLE_ROWS,
-    Formula,
     PellIdentity,
     RangeError,
     SequenceRow,
     check_identity,
+    claim,
     eval_row,
     fibonacci,
     fishburn_series,
@@ -62,7 +60,6 @@ __all__ = [
     "ClassicalPattern",
     "DEFAULT_COUNT_CAP",
     "DEFAULT_LIST_CAP",
-    "Formula",
     "ParseError",
     "PatternSet",
     "PellIdentity",
@@ -73,14 +70,12 @@ __all__ = [
     "VerificationReport",
     "avoids",
     "check_identity",
-    "contains_classical",
+    "claim",
     "contains_fishburn",
     "count",
-    "count_by_one_position",
     "eval_row",
     "fibonacci",
     "fishburn_series",
-    "identity",
     "members",
     "parse_pattern",
     "pell",

@@ -2,13 +2,15 @@
 
 Everything is a flag; there are no config files or environment variables, so
 a published invocation reproduces exactly.  Results go to stdout (or --output),
-diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage or parse error, 3 capacity exceeded.
+diagnostics to stderr.  Exit codes: 0 success (also when the reader of
+stdout closes it early), 1 verification failure, 2 usage or parse error,
+3 capacity exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -80,8 +82,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_list(args: argparse.Namespace) -> int:
     query = _build_query(args)
+    found = members(query, cap=args.cap)
     with _open_output(args.output) as out:
-        for p in members(query, cap=args.cap):
+        for p in found:
             print(p.to_text(), file=out)
     return EXIT_OK
 
@@ -138,7 +141,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (`fishburn list ... | head`).  Point
+        # stdout at devnull so the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except CapacityError as exc:
         print(f"fishburn: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -65,18 +65,14 @@ class AvoidanceQuery:
 
 def search(
     query: AvoidanceQuery,
-    visit: Callable[[Permutation], None],
+    visit: Callable[[Permutation], None] | None,
     *,
     cap: int = DEFAULT_COUNT_CAP,
-    assume_one_in_first_two: bool = False,
 ) -> int:
     """Visit every member of the class exactly once, in lexicographic order.
 
-    Returns the number of permutations visited.  assume_one_in_first_two
-    additionally prunes branches that leave the entry 1 beyond position 2;
-    that is valid for 321-avoiding Fishburn classes only and exists purely
-    as a cross-check, so it is off by default and never drives primary
-    counts.
+    Returns the number of members.  With visit None nothing is visited and
+    no member object is built: the search only counts.
     """
     n = query.n
     if n > cap:
@@ -110,10 +106,9 @@ def search(
 
     def extend(m: int, premax: int, descent_bottom: int) -> int:
         if m == n:
-            visit(Permutation(tuple(word)))
+            if visit is not None:
+                visit(Permutation(tuple(word)))
             return 1
-        if assume_one_in_first_two and m >= 2 and pos_of[1] < 0:
-            return 0
         found = 0
         f = forced[m + 1]
         ban = banned[m + 1]
@@ -153,7 +148,7 @@ def search(
 
 def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
     """Exact cardinality of the class described by the query."""
-    return search(query, lambda p: None, cap=cap)
+    return search(query, None, cap=cap)
 
 
 def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> tuple[Permutation, ...]:
@@ -161,19 +156,3 @@ def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> tuple[Perm
     out: list[Permutation] = []
     search(query, out.append, cap=cap)
     return tuple(out)
-
-
-def count_by_one_position(
-    n: int, patterns: PatternSet, *, cap: int = DEFAULT_COUNT_CAP
-) -> tuple[int, int, int]:
-    """Counts of members with 1 in position 1, in position 2, and elsewhere.
-
-    For 321-avoiding Fishburn classes the third count is zero (every member
-    has its 1 in one of the first two slots); that is verified, not assumed.
-    """
-    if n < 1:
-        raise ValueError("count_by_one_position needs n >= 1")
-    first = count(AvoidanceQuery(n, patterns, one_position=1), cap=cap)
-    second = count(AvoidanceQuery(n, patterns, one_position=2), cap=cap)
-    total = count(AvoidanceQuery(n, patterns), cap=cap)
-    return first, second, total - first - second

@@ -51,9 +51,6 @@ class ClassicalPattern:
     def __str__(self) -> str:
         return "".join(str(v) for v in self.body.values)
 
-    def complement(self) -> "ClassicalPattern":
-        return ClassicalPattern(self.body.complement())
-
 
 @dataclass(frozen=True)
 class PatternSet:
@@ -158,10 +155,6 @@ def occurs_ending_at(word: Sequence[int], last: int, pattern: ClassicalPattern) 
         return False
 
     return extend(0, 0)
-
-
-def contains_classical(p: Permutation, pattern: ClassicalPattern) -> bool:
-    return occurs_in(p.values, pattern)
 
 
 def contains_fishburn(p: Permutation) -> bool:

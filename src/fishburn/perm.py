@@ -51,34 +51,6 @@ class Permutation:
         n = len(self.values)
         return Permutation(tuple(n + 1 - v for v in self.values))
 
-    def direct_sum(self, other: "Permutation") -> "Permutation":
-        """Concatenate self with other shifted up by len(self).
-
-        >>> Permutation((1, 2)).direct_sum(Permutation((1, 2, 3)))
-        Permutation((1, 2, 3, 4, 5))
-        """
-        k = len(self.values)
-        return Permutation(self.values + tuple(v + k for v in other.values))
-
-    def insert_max_at(self, site: int) -> "Permutation":
-        """Insert the new maximum n+1 into the gap indexed by site.
-
-        Site 0 is the gap before the first entry, site n the gap after the
-        last; the relative order of existing entries is preserved.
-        """
-        n = len(self.values)
-        if not 0 <= site <= n:
-            raise ValueError(f"site {site} out of range 0..{n}")
-        return Permutation(self.values[:site] + (n + 1,) + self.values[site:])
-
-    def remove_max(self) -> "Permutation":
-        """Delete the maximum entry (inverse of insert_max_at)."""
-        n = len(self.values)
-        if n == 0:
-            raise ValueError("empty permutation has no maximum")
-        i = self.values.index(n)
-        return Permutation(self.values[:i] + self.values[i + 1 :])
-
     def left_to_right_maxima(self) -> frozenset[int]:
         """The set of entries greater than every entry to their left."""
         out = []
@@ -89,25 +61,12 @@ class Permutation:
                 best = v
         return frozenset(out)
 
-    def position_of_one(self) -> int:
-        """The one-based position of the entry 1."""
-        if not self.values:
-            raise ValueError("empty permutation has no entry 1")
-        return self.values.index(1) + 1
-
     def to_text(self) -> str:
         return " ".join(str(v) for v in self.values)
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         return cls(parse_values(text))
-
-
-def identity(n: int) -> Permutation:
-    """The increasing permutation 1 2 ... n."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return Permutation(tuple(range(1, n + 1)))
 
 
 def parse_values(text: str) -> tuple[int, ...]:

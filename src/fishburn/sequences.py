@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from typing import Callable
 
 from fishburn.enumeration import CapacityError
 from fishburn.patterns import PatternSet
@@ -64,96 +65,73 @@ def q_value(n: int) -> int:
     return half
 
 
-class Formula(Enum):
-    """Closed forms appearing as class sizes, keyed by their expression."""
-
-    QUAD_A = "n^2 - 3n + 4"
-    QUAD_B = "3n^2/2 - 13n/2 + 10"
-    BINOM_PLUS_1 = "C(n,2) + 1"
-    FIB_PLUS_2 = "F(n) + 2"
-    FIB_NEXT_MINUS_1 = "F(n+1) - 1"
-    POW_MINUS_BINOM = "2^n - C(n,2) - 1"
-    PELL_Q = "(P(n) + P(n-1) + 1)/2"
-    LINEAR = "n"
-    FIB = "F(n)"
-    POW = "2^(n-1)"
-
-
-def evaluate_formula(formula: Formula, n: int) -> int | None:
-    """Evaluate a closed form exactly; None where the expression is undefined
-    (only 2^(n-1) at n = 0).  Range gating is the caller's business."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if formula is Formula.QUAD_A:
-        return n * n - 3 * n + 4
-    if formula is Formula.QUAD_B:
-        return (3 * n * n - 13 * n + 20) // 2  # numerator is always even
-    if formula is Formula.BINOM_PLUS_1:
-        return comb(n, 2) + 1
-    if formula is Formula.FIB_PLUS_2:
-        return fibonacci(n) + 2
-    if formula is Formula.FIB_NEXT_MINUS_1:
-        return fibonacci(n + 1) - 1
-    if formula is Formula.POW_MINUS_BINOM:
-        return 2**n - comb(n, 2) - 1
-    if formula is Formula.PELL_Q:
-        return q_value(n)
-    if formula is Formula.LINEAR:
-        return n
-    if formula is Formula.FIB:
-        return fibonacci(n)
-    if formula is Formula.POW:
-        return 2 ** (n - 1) if n >= 1 else None
-    raise TypeError(f"unknown formula {formula!r}")
-
-
 @dataclass(frozen=True)
 class SequenceRow:
-    """One enumerated class: its pattern set, closed form, and validity range."""
+    """One counted claim: the class avoiding `patterns` (only its members
+    with entry 1 at `one_position`, when set) has `formula(n)` members for
+    every n >= valid_from.  The closed form returns None where its
+    expression is undefined."""
 
     row_id: str
     patterns: PatternSet
-    formula: Formula
+    formula: Callable[[int], int | None]
     valid_from: int
+    one_position: int | None = None
 
 
-def _row(pattern_text: str, formula: Formula, valid_from: int) -> SequenceRow:
+def claim(
+    pattern_text: str,
+    formula: Callable[[int], int | None],
+    valid_from: int,
+    one_position: int | None = None,
+) -> SequenceRow:
+    """The row for a claim about the Fishburn class avoiding pattern_text."""
+    row_id = pattern_text if one_position is None else f"{pattern_text}:pos{one_position}"
     return SequenceRow(
-        row_id=pattern_text,
+        row_id=row_id,
         patterns=PatternSet.parse(pattern_text, fishburn=True),
         formula=formula,
         valid_from=valid_from,
+        one_position=one_position,
     )
 
 
 TABLE_ROWS: tuple[SequenceRow, ...] = (
-    _row("321,1243", Formula.QUAD_A, 2),
-    _row("321,2134", Formula.QUAD_A, 2),
-    _row("321,1324", Formula.QUAD_B, 3),
-    _row("321,1423,2143", Formula.BINOM_PLUS_1, 0),
-    _row("321,3142,2143", Formula.BINOM_PLUS_1, 0),
-    _row("321,2143,3124", Formula.BINOM_PLUS_1, 0),
-    _row("321,2143,4123", Formula.BINOM_PLUS_1, 0),
-    _row("321,1423,3124", Formula.FIB_PLUS_2, 4),
-    _row("321,1423,4123", Formula.FIB_NEXT_MINUS_1, 1),
-    _row("321,3124,4123", Formula.FIB_NEXT_MINUS_1, 1),
-    _row("321,14253", Formula.POW_MINUS_BINOM, 1),
-    _row("321,21354", Formula.POW_MINUS_BINOM, 1),
-    _row("321,31452", Formula.PELL_Q, 1),
-    _row("321,31524", Formula.PELL_Q, 1),
-    _row("321,41523", Formula.PELL_Q, 1),
-    _row("321,132", Formula.LINEAR, 1),
-    _row("321,213", Formula.LINEAR, 1),
-    _row("321,312", Formula.FIB, 1),
-    _row("321,3142", Formula.POW, 1),
+    claim("321,1243", lambda n: n * n - 3 * n + 4, 2),
+    claim("321,2134", lambda n: n * n - 3 * n + 4, 2),
+    claim("321,1324", lambda n: (3 * n * n - 13 * n + 20) // 2, 3),  # numerator is always even
+    claim("321,1423,2143", lambda n: comb(n, 2) + 1, 0),
+    claim("321,3142,2143", lambda n: comb(n, 2) + 1, 0),
+    claim("321,2143,3124", lambda n: comb(n, 2) + 1, 0),
+    claim("321,2143,4123", lambda n: comb(n, 2) + 1, 0),
+    claim("321,1423,3124", lambda n: fibonacci(n) + 2, 4),
+    claim("321,1423,4123", lambda n: fibonacci(n + 1) - 1, 1),
+    claim("321,3124,4123", lambda n: fibonacci(n + 1) - 1, 1),
+    claim("321,14253", lambda n: 2**n - comb(n, 2) - 1, 1),
+    claim("321,21354", lambda n: 2**n - comb(n, 2) - 1, 1),
+    claim("321,31452", q_value, 1),
+    claim("321,31524", q_value, 1),
+    claim("321,41523", q_value, 1),
+    claim("321,132", lambda n: n, 1),
+    claim("321,213", lambda n: n, 1),
+    claim("321,312", fibonacci, 1),
+    claim("321,3142", lambda n: 2 ** (n - 1) if n >= 1 else None, 1),
 )
+
+
+def evaluate_formula(row: SequenceRow, n: int) -> int | None:
+    """The row's closed form at n, exactly; None where the expression is
+    undefined.  Range gating is the caller's business."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return row.formula(n)
 
 
 def eval_row(row: SequenceRow, n: int) -> int:
     """The row's closed form at n; rejects n below the stated range."""
     if n < row.valid_from:
         raise RangeError(f"row {row.row_id} is stated for n >= {row.valid_from}, got n={n}")
-    value = evaluate_formula(row.formula, n)
+    value = evaluate_formula(row, n)
     if value is None:
         raise RangeError(f"row {row.row_id} formula undefined at n={n}")
     return value

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +176,42 @@ def test_count_one_pos_output_file(tmp_path, capsys):
     )
     assert (code, out) == (0, "")
     assert target.read_text() == "5\n"
+
+
+def test_list_capacity_error_leaves_existing_output_untouched(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    target.write_text("keep\n")
+    code, out, err = run_cli(capsys, "list", "--fishburn", "-n", "11", "-o", str(target))
+    assert (code, out) == (3, "")
+    assert "cap" in err
+    assert target.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        # `fishburn list ... | head -1`: the pipe breaks mid-stream.
+        (["list", "--fishburn", "-n", "9"], b"1 2 3 4 5 6 7 8 9\n"),
+        # The reader is gone before the one buffered line is flushed.
+        (["count", "--fishburn", "-n", "5"], None),
+    ],
+    ids=["mid-stream", "at-flush"],
+)
+def test_closed_stdout_pipe_exits_zero_quietly(argv, first_line):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # Buffered stdout, as from a shell, so a short output breaks at the flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fishburn", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": path},
+    )
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

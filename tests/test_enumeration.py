@@ -12,7 +12,6 @@ from fishburn.enumeration import (
     AvoidanceQuery,
     CapacityError,
     count,
-    count_by_one_position,
     members,
     search,
 )
@@ -59,19 +58,25 @@ def test_members_are_lexicographically_sorted_and_counted():
         assert len(got) == count(q)
 
 
+def _split_by_one_position(n, patterns):
+    """Counts of members with 1 in position 1, in position 2, and elsewhere."""
+    first = count(AvoidanceQuery(n, patterns, one_position=1))
+    second = count(AvoidanceQuery(n, patterns, one_position=2))
+    return first, second, count(AvoidanceQuery(n, patterns)) - first - second
+
+
 def test_count_by_one_position_examples():
-    assert count_by_one_position(4, _ps("321,1243")) == (3, 5, 0)
-    assert count_by_one_position(1, _ps("321")) == (1, 0, 0)
-    assert count_by_one_position(5, _ps("321,2134")) == (8, 6, 0)
-    with pytest.raises(ValueError):
-        count_by_one_position(0, _ps("321"))
+    assert _split_by_one_position(4, _ps("321,1243")) == (3, 5, 0)
+    assert _split_by_one_position(1, _ps("321")) == (1, 0, 0)
+    assert _split_by_one_position(5, _ps("321,2134")) == (8, 6, 0)
 
 
 def test_one_beyond_first_two_positions_occurs_without_321():
     # Dropping the 321 constraint must populate the "elsewhere" bucket.
-    first, second, other = count_by_one_position(4, PatternSet(fishburn=True))
+    first, second, other = _split_by_one_position(4, PatternSet(fishburn=True))
     assert other > 0
-    assert first + second + other == count(AvoidanceQuery(4, PatternSet(fishburn=True)))
+    got = members(AvoidanceQuery(4, PatternSet(fishburn=True)))
+    assert other == sum(1 for p in got if p.values.index(1) >= 2)
 
 
 def test_search_visit_count_matches_count():
@@ -79,7 +84,7 @@ def test_search_visit_count_matches_count():
     seen = []
     assert search(q, seen.append) == 48
     assert len(seen) == count(q) == 48
-    assert search(AvoidanceQuery(5, _ps("321,31452")), lambda p: None) == 21
+    assert search(AvoidanceQuery(5, _ps("321,31452")), None) == 21
 
 
 def test_search_never_visits_non_members():
@@ -162,17 +167,6 @@ def test_results_are_deterministic_across_runs():
     assert count(q) == count(q) == 120
 
 
-def test_position_lemma_pruning_is_only_a_cross_check():
-    # The optional structural pruning must reproduce the primary counts
-    # exactly on 321-avoiding Fishburn classes.
-    for text in ("321", "321,1243", "321,31452"):
-        ps = _ps(text)
-        for n in range(8):
-            q = AvoidanceQuery(n, ps)
-            pruned = search(q, lambda p: None, assume_one_in_first_two=True)
-            assert pruned == count(q)
-
-
 def test_321_shortcut_agrees_with_generic_matcher(monkeypatch):
     # Forcing the kernel to treat 321 like any other pattern must not change
     # anything; the descent-bottom shortcut is a pure optimization.
@@ -197,12 +191,17 @@ def test_321_shortcut_agrees_with_generic_matcher(monkeypatch):
     ),
     st.booleans(),
     st.sampled_from([None, 1, 2]),
+    st.data(),
 )
-def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_position):
+def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_position, data):
     ps = PatternSet(tuple(parse_pattern(t) for t in texts), fishburn)
     bodies = [tuple(int(c) for c in t) for t in texts]
-    q = AvoidanceQuery(n, ps, one_position=one_position)
-    assert count(q) == oracle.count(n, bodies, fishburn=fishburn, one_position=one_position)
+    prefix = tuple(data.draw(st.lists(st.integers(1, n), unique=True, max_size=n))) if n else ()
+    prefix_negation = bool(prefix) and data.draw(st.booleans())
+    filters = dict(one_position=one_position, prefix=prefix, prefix_negation=prefix_negation)
+    q = AvoidanceQuery(n, ps, **filters)
+    assert count(q) == oracle.count(n, bodies, fishburn=fishburn, **filters)
+    assert list(members(q)) == oracle.members(n, bodies, fishburn=fishburn, **filters)
 
 
 @settings(deadline=None, max_examples=60)

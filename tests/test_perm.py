@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishburn.perm import ParseError, Permutation, identity
+from fishburn.perm import ParseError, Permutation
 
 perms = st.integers(0, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(lambda w: Permutation(tuple(w)))
@@ -35,42 +35,12 @@ def test_complement_is_an_involution(p):
     assert p.complement().complement() == p
 
 
-def test_direct_sum_examples():
-    assert Permutation((1, 2)).direct_sum(Permutation((1, 2, 3))) == Permutation((1, 2, 3, 4, 5))
-    assert Permutation(()).direct_sum(Permutation((2, 1))) == Permutation((2, 1))
-    assert Permutation((2, 1)).direct_sum(Permutation((1,))) == Permutation((2, 1, 3))
-
-
-@given(perms, perms, perms)
-def test_direct_sum_is_associative(p, q, r):
-    assert p.direct_sum(q).direct_sum(r) == p.direct_sum(q.direct_sum(r))
-
-
-def test_insert_max_examples():
-    assert Permutation((1, 2)).insert_max_at(0) == Permutation((3, 1, 2))
-    assert Permutation(()).insert_max_at(0) == Permutation((1,))
-    assert Permutation((2, 1, 3)).insert_max_at(3) == Permutation((2, 1, 3, 4))
-
-
-def test_insert_max_rejects_bad_site():
-    with pytest.raises(ValueError):
-        Permutation((1, 2)).insert_max_at(3)
-    with pytest.raises(ValueError):
-        Permutation((1,)).insert_max_at(-1)
-
-
-@given(perms, st.integers(0, 20))
-def test_removing_max_undoes_insertion(p, raw_site):
-    site = raw_site % (len(p) + 1)
-    assert p.insert_max_at(site).remove_max() == p
-
-
 def test_left_to_right_maxima_worked_example():
     assert Permutation((3, 1, 2, 4, 7, 5, 6)).left_to_right_maxima() == {3, 4, 7}
 
 
 def test_left_to_right_maxima_extremes():
-    assert identity(5).left_to_right_maxima() == {1, 2, 3, 4, 5}
+    assert Permutation((1, 2, 3, 4, 5)).left_to_right_maxima() == {1, 2, 3, 4, 5}
     assert Permutation((5, 4, 3, 2, 1)).left_to_right_maxima() == {5}
 
 
@@ -80,14 +50,6 @@ def test_maxima_include_first_entry_and_n(p):
         maxima = p.left_to_right_maxima()
         assert p.values[0] in maxima
         assert len(p) in maxima
-
-
-def test_position_of_one():
-    assert Permutation((2, 1, 3)).position_of_one() == 2
-    assert Permutation((1,)).position_of_one() == 1
-    assert Permutation((4, 1, 2, 3)).position_of_one() == 2
-    with pytest.raises(ValueError):
-        Permutation(()).position_of_one()
 
 
 def test_text_round_trip():

@@ -9,7 +9,6 @@ from fishburn.patterns import PatternSet
 from fishburn.sequences import (
     IDENTITY_MIN_N,
     TABLE_ROWS,
-    Formula,
     PellIdentity,
     RangeError,
     check_identity,
@@ -80,14 +79,14 @@ def test_eval_row_rejects_below_range():
 
 def test_formula_values_against_direct_arithmetic():
     for n in range(2, 12):
-        assert evaluate_formula(Formula.QUAD_A, n) == n * n - 3 * n + 4
+        assert evaluate_formula(_row("321,1243"), n) == n * n - 3 * n + 4
     for n in range(3, 12):
-        assert 2 * evaluate_formula(Formula.QUAD_B, n) == 3 * n * n - 13 * n + 20
+        assert 2 * evaluate_formula(_row("321,1324"), n) == 3 * n * n - 13 * n + 20
     for n in range(12):
-        assert evaluate_formula(Formula.BINOM_PLUS_1, n) == comb(n, 2) + 1
-        assert evaluate_formula(Formula.POW_MINUS_BINOM, n) == 2**n - comb(n, 2) - 1
-    assert evaluate_formula(Formula.POW, 0) is None
-    assert evaluate_formula(Formula.POW, 6) == 32
+        assert evaluate_formula(_row("321,1423,2143"), n) == comb(n, 2) + 1
+        assert evaluate_formula(_row("321,14253"), n) == 2**n - comb(n, 2) - 1
+    assert evaluate_formula(_row("321,3142"), 0) is None
+    assert evaluate_formula(_row("321,3142"), 6) == 32
 
 
 def _series_by_binomial_expansion(degree):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -134,7 +135,7 @@ def _sample_reports():
         CheckRecord("row-a", 3, 9, 8, True, False),
         CheckRecord("row-a", 1, 1, None, False, False),
     )
-    return [VerificationReport("suite-a", records, False, 0.25)]
+    return [VerificationReport("suite-a", records, False)]
 
 
 def test_delimited_format():
@@ -166,3 +167,16 @@ def test_reports_serialize_deterministically():
     assert format_delimited(reports) == format_delimited(again)
     assert format_structured(reports) == format_structured(again)
     assert format_plain(reports) == format_plain(again)
+
+
+def test_all_suites_output_bytes_are_pinned():
+    # Default stdout is a byte-for-byte contract, so the report bytes of every
+    # format are pinned by digest, not just compared between two runs.
+    reports = run_suite("all", 6)
+    digests = {
+        format_delimited: "a16df0cacfba0cbd6560e448ec2c4d620a7931f9c2b586a690ebeda009728ae6",
+        format_structured: "c689d24a8f8d72c9f5145de480f7d4cb705752aa3bba8753287a54e0fc054b78",
+        format_plain: "e7f414ead0ebcd11df0149e14b2348e0bcafc025579e315893892db4dc3828f1",
+    }
+    for formatter, digest in digests.items():
+        assert hashlib.sha256(formatter(reports).encode()).hexdigest() == digest, formatter.__name__
