@@ -3,7 +3,7 @@
 A Fishburn permutation avoids the bivincular pattern forbidding positions
 i < j with (p_i, p_{i+1}, p_j) order-isomorphic to 231 and p_i = p_j + 1.
 This package enumerates such permutations (optionally under extra classical
-pattern constraints) with a pruned depth-first kernel, evaluates the known
+pattern constraints) with a generating-tree kernel, evaluates the known
 closed forms for their class sizes in exact integer arithmetic, and ships a
 verification harness comparing the two.
 """

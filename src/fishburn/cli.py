@@ -39,6 +39,16 @@ _FORMATTERS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _add_query_arguments(parser: argparse.ArgumentParser, default_cap: int) -> None:
     parser.add_argument("--avoid", default="", metavar="PATTERNS",
                         help="comma-separated classical patterns, e.g. 321,1423,2143")
@@ -51,7 +61,7 @@ def _add_query_arguments(parser: argparse.ArgumentParser, default_cap: int) -> N
                         help="members must begin with these values (space-separated or compact digits)")
     parser.add_argument("--prefix-negation", action="store_true",
                         help="match all of PREFIX but its last slot, which must hold a different value")
-    parser.add_argument("--cap", type=int, default=default_cap,
+    parser.add_argument("--cap", type=_nonnegative_int, default=default_cap,
                         help=f"length cap (default {default_cap})")
     parser.add_argument("-o", "--output", default=None, help="write results here instead of stdout")
 

@@ -1,17 +1,31 @@
-"""Generation and counting of avoidance classes by pruned depth-first search.
+"""Generation and counting of avoidance classes by a generating tree.
 
-The kernel fills positions left to right, trying unused values in increasing
-order, which yields members in lexicographic order for free.  After placing
-position m it tests only occurrences that use position m: classical
-occurrences ending at m, and Fishburn occurrences whose final index is m
-(the adjacent pair of a Fishburn occurrence always precedes its final index,
-so extending a prefix can only complete occurrences of that shape).  Any
-prefix containing an occurrence is abandoned; occurrences survive every
-completion, so the pruning is sound, and each new occurrence has a final
-position, so it is also complete.
+Every class the kernel handles is closed under deleting its largest entry.
+Deleting any entry keeps a classical pattern avoided.  Deleting n from a
+Fishburn permutation u = ..., a, n, b, ... creates one new adjacent pair
+(a, b); if it started an occurrence, a < b and a-1 would lie right of b, so
+(a, n) with the same a-1 would already be one in u.  Hence each member of
+size m+1 has exactly one parent of size m, the member left by deleting m+1,
+and growing members from the empty permutation by inserting the new maximum
+m+1 into each of the m+1 sites of a member visits members only (West's
+generating trees; for the Fishburn condition this is the recursive
+construction of Bousquet-Melou, Claesson, Dukes and Kitaev).
 
-Counts are exact arbitrary-precision integers.  Caps default to 14 for
-counting and 10 for materializing member lists; both are arguments.
+A child can only hold an occurrence that uses the new maximum: any other one
+is an occurrence in its parent.  So each site is tested for those alone.
+Classical patterns other than 321 use the inverse: inserting the maximum at
+site s of w appends the entry s+1 to the inverse of w (raising the entries
+above s by one), and pi occurs in a word iff the inverse of pi occurs in its
+inverse, the maximum of one becoming the last entry of the other.  An
+occurrence of pi that uses the new maximum is therefore an occurrence of
+pi's inverse ending at the last index of the child's inverse, which the
+anchored matcher `occurs_ending_at` decides.
+
+Members are visited in tree order: depth first by size, the sites of each
+member tried left to right.  `members` sorts, so member lists are
+lexicographic.  Counts are exact arbitrary-precision integers.  Caps default
+to 14 for counting and 10 for materializing member lists; both are
+arguments.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from fishburn.patterns import PatternSet, occurs_ending_at
+from fishburn.patterns import ClassicalPattern, PatternSet, occurs_ending_at
 from fishburn.perm import Permutation
 
 DEFAULT_COUNT_CAP = 14
@@ -63,87 +77,120 @@ class AvoidanceQuery:
                 raise ValueError(f"prefix value {v} outside 1..{self.n}")
 
 
+def _grow(
+    query: AvoidanceQuery,
+    cap: int,
+    leaf: Callable[[tuple[int, ...]], None] | None,
+) -> int:
+    """The generating-tree kernel: count the members of the class, passing
+    each one's values to leaf (when set) in tree order."""
+    n = query.n
+    if n > cap:
+        raise CapacityError(f"n={n} exceeds the cap of {cap}")
+    target = query.one_position - 1 if query.one_position else -1  # index of entry 1
+    if target >= n:
+        return 0
+    if n == 0:
+        if leaf is not None:
+            leaf(())
+        return 1
+
+    # Deleting the maximum keeps the head's entries up to m in front, in
+    # head order, so a member of size m qualifies only if it opens with
+    # them.  The maximum v then has one site when it belongs to the head
+    # (behind the head entries smaller than v that precede it there) and
+    # otherwise any site behind every head entry smaller than v.
+    prefix = query.prefix
+    head = prefix[:-1] if query.prefix_negation else prefix
+    ban_value = prefix[-1] if query.prefix_negation else 0
+    ban_index = len(prefix) - 1
+    first_site = [0] * (n + 1)
+    last_site = [v - 1 for v in range(n + 1)]
+    for v in range(1, n + 1):
+        if v in head:
+            ahead = head[: head.index(v)]
+            first_site[v] = last_site[v] = sum(1 for u in ahead if u < v)
+        else:
+            first_site[v] = sum(1 for u in head if u < v)
+
+    fishburn = query.patterns.fishburn
+    has_321 = any(p.body.values == _PATTERN_321 for p in query.patterns.classical)
+    inverses = tuple(
+        ClassicalPattern(p.body.inverse())
+        for p in query.patterns.classical
+        if p.body.values != _PATTERN_321
+    )
+
+    def grow(m: int, word: list[int], inv: list[int], run: int) -> int:
+        """Count, and pass to leaf, the members of size n that descend from
+        word, a member of size m whose inverse (zero-based) is inv and whose
+        final ascending run starts at index run."""
+        top = m + 1
+        lo, hi = first_site[top], last_site[top]
+        # 321: the new maximum can only be the 3, so it makes a 321 iff the
+        # entries right of its site hold a descent, i.e. iff the site lies
+        # left of the final ascending run.
+        if has_321 and run > lo:
+            lo = run
+        # Insertions only move entry 1 right, so once it sits at the target
+        # index every site left of it is pruned.  At m = 0 the new maximum
+        # is entry 1 itself, at index 0.
+        if target >= 0 and m and inv[0] == target and lo <= target:
+            lo = target + 1
+        if inverses:
+            # Placing the new maximum at site s puts it, in the inverse, at
+            # a value between the entries s-1 and s; s - 0.5 is
+            # order-isomorphic to the inverse after insertion.
+            probe = inv + [0]
+        found = 0
+        for s in range(lo, hi + 1):
+            # Fishburn: the new maximum can only be the 3 of the 231, with
+            # a = word[s-1] as the 2; it makes an occurrence iff a-1 lies
+            # right of it.
+            if fishburn and s:
+                a = word[s - 1]
+                if a >= 2 and inv[a - 2] >= s:
+                    continue
+            if inverses:
+                probe[m] = s - 0.5
+                if any(occurs_ending_at(probe, m, p) for p in inverses):
+                    continue
+            if top < n:
+                child = [p + (p >= s) for p in inv]
+                child.append(s)
+                found += grow(top, word[:s] + [top] + word[s:], child, run if s == m else s + 1)
+                continue
+            if target >= 0 and m and inv[0] + (s <= inv[0]) != target:
+                continue
+            if ban_value:
+                at = s if ban_value == top else inv[ban_value - 1] + (s <= inv[ban_value - 1])
+                if at == ban_index:
+                    continue
+            found += 1
+            if leaf is not None:
+                leaf((*word[:s], top, *word[s:]))
+        return found
+
+    return grow(0, [], [], 0)
+
+
 def search(
     query: AvoidanceQuery,
     visit: Callable[[Permutation], None] | None,
     *,
     cap: int = DEFAULT_COUNT_CAP,
 ) -> int:
-    """Visit every member of the class exactly once, in lexicographic order.
+    """Visit every member of the class exactly once, in generating-tree order.
 
+    The tree is walked depth first, the children of a member (its new
+    maximum inserted at each site, left to right) in turn, so members that
+    share a parent are visited together; the order is not lexicographic.
     Returns the number of members.  With visit None nothing is visited and
     no member object is built: the search only counts.
     """
-    n = query.n
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the cap of {cap}")
-
-    forced = [0] * (n + 2)
-    if query.prefix:
-        head = query.prefix[:-1] if query.prefix_negation else query.prefix
-        for i, v in enumerate(head):
-            forced[i + 1] = v
-    banned = [0] * (n + 2)
-    if query.prefix_negation and len(query.prefix) <= n:
-        banned[len(query.prefix)] = query.prefix[-1]
-
-    one_pos = query.one_position or 0
-    if one_pos:
-        if one_pos > n:
-            return 0
-        if forced[one_pos] not in (0, 1):
-            return 0
-        if any(forced[i] == 1 for i in range(1, n + 1) if i != one_pos):
-            return 0
-        forced[one_pos] = 1
-
-    fishburn = query.patterns.fishburn
-    has_321 = any(p.body.values == _PATTERN_321 for p in query.patterns.classical)
-    generic = tuple(p for p in query.patterns.classical if p.body.values != _PATTERN_321)
-
-    word = [0] * n
-    pos_of = [-1] * (n + 2)
-
-    def extend(m: int, premax: int, descent_bottom: int) -> int:
-        if m == n:
-            if visit is not None:
-                visit(Permutation(tuple(word)))
-            return 1
-        found = 0
-        f = forced[m + 1]
-        ban = banned[m + 1]
-        for v in (f,) if f else range(1, n + 1):
-            if pos_of[v] >= 0 or v == ban:
-                continue
-            if one_pos and v == 1 and m + 1 < one_pos:
-                continue
-            # A 321 ends at m iff some earlier entry both exceeds v and has a
-            # still larger entry before it; descent_bottom tracks the largest
-            # such entry, making this check O(1).
-            if has_321 and descent_bottom > v:
-                continue
-            if fishburn and v + 1 <= n:
-                i0 = pos_of[v + 1]
-                if i0 >= 0 and i0 <= m - 2 and word[i0 + 1] > v + 1:
-                    continue
-            word[m] = v
-            hit = False
-            for p in generic:
-                if occurs_ending_at(word, m, p):
-                    hit = True
-                    break
-            if hit:
-                continue
-            pos_of[v] = m
-            found += extend(
-                m + 1,
-                v if v > premax else premax,
-                v if (v < premax and v > descent_bottom) else descent_bottom,
-            )
-            pos_of[v] = -1
-        return found
-
-    return extend(0, 0, 0)
+    if visit is None:
+        return _grow(query, cap, None)
+    return _grow(query, cap, lambda values: visit(Permutation(values)))
 
 
 def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
@@ -153,6 +200,7 @@ def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
 
 def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> tuple[Permutation, ...]:
     """Every member of the class, lexicographically ordered."""
-    out: list[Permutation] = []
-    search(query, out.append, cap=cap)
-    return tuple(out)
+    found: list[tuple[int, ...]] = []
+    _grow(query, cap, found.append)
+    found.sort()
+    return tuple(map(Permutation, found))

@@ -19,7 +19,7 @@ class ParseError(ValueError):
     """Raised when text does not encode a permutation or pattern."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """An immutable rearrangement of {1, ..., n}.
 
@@ -50,6 +50,17 @@ class Permutation:
         """Replace each entry v by n+1-v.  An involution."""
         n = len(self.values)
         return Permutation(tuple(n + 1 - v for v in self.values))
+
+    def inverse(self) -> "Permutation":
+        """Send each value to its position.  An involution.
+
+        >>> Permutation((2, 3, 1)).inverse()
+        Permutation((3, 1, 2))
+        """
+        out = [0] * len(self.values)
+        for i, v in enumerate(self.values, 1):
+            out[v - 1] = i
+        return Permutation(tuple(out))
 
     def left_to_right_maxima(self) -> frozenset[int]:
         """The set of entries greater than every entry to their left."""

@@ -94,6 +94,16 @@ def test_cap_flag_raises_the_limit(capsys):
     assert (code, out) == (0, "15\n")
 
 
+@pytest.mark.parametrize("command", ["count", "list"])
+def test_negative_cap_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-n", "3", "--cap", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cap" in captured.err and "nonnegative" in captured.err
+
+
 def test_series_capacity(capsys):
     code, _, err = run_cli(capsys, "series", "-N", "100")
     assert code == 3

@@ -33,6 +33,8 @@ def test_count_examples():
 def test_count_of_empty_length_is_one_for_any_patterns():
     assert count(AvoidanceQuery(0, _ps("321,14253"))) == 1
     assert count(AvoidanceQuery(0, PatternSet())) == 1
+    assert count(AvoidanceQuery(0, _ps("1"))) == 1
+    assert [p.values for p in members(AvoidanceQuery(0, _ps("321,1243")))] == [()]
 
 
 def test_unconstrained_query_counts_all_permutations():
@@ -148,6 +150,7 @@ def test_query_validation():
 def test_one_position_unsatisfiable_cases():
     assert count(AvoidanceQuery(0, PatternSet(), one_position=1)) == 0
     assert count(AvoidanceQuery(1, PatternSet(), one_position=2)) == 0
+    assert members(AvoidanceQuery(1, _ps("321"), one_position=2)) == ()
     # position filter conflicting with a forced prefix
     assert count(AvoidanceQuery(3, PatternSet(), one_position=2, prefix=(1,))) == 0
 
@@ -169,7 +172,7 @@ def test_results_are_deterministic_across_runs():
 
 def test_321_shortcut_agrees_with_generic_matcher(monkeypatch):
     # Forcing the kernel to treat 321 like any other pattern must not change
-    # anything; the descent-bottom shortcut is a pure optimization.
+    # anything; the 321 site-range shortcut is a pure optimization.
     queries = [
         AvoidanceQuery(6, _ps("321,1324")),
         AvoidanceQuery(6, _ps("321,14253")),
@@ -219,6 +222,36 @@ def test_pruning_soundness_occurrences_survive_completion(n, data):
     if oracle.contains_adjacent_231_plus1(prefix):
         for tail in permutations(rest):
             assert oracle.contains_adjacent_231_plus1(prefix + tail)
+
+
+CLOSURE_PATTERNS = [(3, 2, 1), (1, 2, 4, 3), (3, 1, 4, 5, 2), (2, 4, 1, 3)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.lists(st.sampled_from(CLOSURE_PATTERNS), unique=True, max_size=4),
+    st.booleans(),
+)
+def test_deleting_the_maximum_keeps_a_member(word, bodies, fishburn):
+    # The generating tree reaches every member only through its parent, the
+    # member left by deleting the maximum, so each class must be closed
+    # under that deletion.
+    parent = tuple(v for v in word if v != len(word))
+    if oracle.is_member(tuple(word), bodies, fishburn):
+        assert oracle.is_member(parent, bodies, fishburn)
+
+
+def test_size_one_pattern_and_full_length_prefix():
+    # A size-1 pattern occurs in every nonempty word.
+    assert count(AvoidanceQuery(4, _ps("1", fishburn=False))) == 0
+    assert count(AvoidanceQuery(1, _ps("1"), one_position=1)) == 0
+    # A prefix of length n admits at most that one permutation, and negating
+    # it admits none: its first n-1 entries fix the last.
+    ps = _ps("321,1243")
+    assert [p.values for p in members(AvoidanceQuery(4, ps, prefix=(2, 1, 3, 4)))] == [(2, 1, 3, 4)]
+    assert count(AvoidanceQuery(4, ps, prefix=(3, 2, 1, 4))) == 0
+    assert count(AvoidanceQuery(3, ps, prefix=(1, 2, 3), prefix_negation=True)) == 0
 
 
 def test_visited_permutations_are_valid_objects():
