@@ -20,8 +20,6 @@ from fishburn.enumeration import (
 from fishburn.patterns import (
     ClassicalPattern,
     PatternSet,
-    avoids,
-    contains_fishburn,
     parse_pattern,
 )
 from fishburn.perm import ParseError, Permutation
@@ -30,7 +28,6 @@ from fishburn.sequences import (
     PellIdentity,
     RangeError,
     SequenceRow,
-    check_identity,
     claim,
     eval_row,
     fibonacci,
@@ -68,10 +65,7 @@ __all__ = [
     "SequenceRow",
     "TABLE_ROWS",
     "VerificationReport",
-    "avoids",
-    "check_identity",
     "claim",
-    "contains_fishburn",
     "count",
     "eval_row",
     "fibonacci",

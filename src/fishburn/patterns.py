@@ -1,9 +1,11 @@
-"""Pattern types and the two containment predicates.
+"""Pattern types and the anchored classical-pattern matcher.
 
-Classical containment asks for any subsequence order-isomorphic to the
-pattern.  The bivincular predicate `contains_fishburn` is specialized to the
-single decorated pattern that defines Fishburn permutations: positions
-i < j with (p_i, p_{i+1}, p_j) forming a 231 copy and p_i = p_j + 1.
+A classical pattern occurs in a word when some subsequence is
+order-isomorphic to it.  The search kernel decides membership one inserted
+maximum at a time, and only needs occurrences that use the new entry: it
+asks `occurs_ending_at` about the child's inverse word, anchored at its last
+index (see the docstring of `fishburn.enumeration`).  The Fishburn pattern
+needs no matcher there; the kernel tests it in constant time per site.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class PatternSet:
         tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
         return cls(tuple(parse_pattern(tok) for tok in tokens), fishburn)
 
-    def __str__(self) -> str:
-        body = ",".join(str(p) for p in self.classical)
-        return body + ("+fishburn" if self.fishburn else "")
-
 
 def parse_pattern(text: str) -> ClassicalPattern:
     """Parse one pattern from compact digits or space-separated integers."""
@@ -88,41 +86,16 @@ def parse_pattern(text: str) -> ClassicalPattern:
     return ClassicalPattern(Permutation(values))
 
 
-def occurs_in(word: Sequence[int], pattern: ClassicalPattern) -> bool:
-    """Does any subsequence of word realize the pattern?
-
-    word may be any sequence of distinct integers (e.g. a search prefix);
-    only relative order matters.
-    """
-    body = pattern.body.values
-    below, above = pattern._below, pattern._above
-    k, n = len(body), len(word)
-    if k > n:
-        return False
-    chosen = [0] * k
-
-    def extend(j: int, start: int) -> bool:
-        lo_i, hi_i = below[j], above[j]
-        for i in range(start, n - (k - 1 - j)):
-            v = word[i]
-            if lo_i >= 0 and chosen[lo_i] >= v:
-                continue
-            if hi_i >= 0 and chosen[hi_i] <= v:
-                continue
-            chosen[j] = v
-            if j == k - 1 or extend(j + 1, i + 1):
-                return True
-        return False
-
-    return extend(0, 0)
-
-
-def occurs_ending_at(word: Sequence[int], last: int, pattern: ClassicalPattern) -> bool:
+def occurs_ending_at(word: Sequence[float], last: int, pattern: ClassicalPattern) -> bool:
     """Does an occurrence of pattern end exactly at index `last` of word?
 
-    The search kernel extends prefixes one position at a time, so any new
-    classical occurrence must use the newest position as its final element;
-    this anchored check is what keeps the incremental test sound.
+    The kernel calls this on a child's inverse word, anchored at its final
+    index `last`, with the inverse of a forbidden pattern pi: inserting the
+    new maximum into a member appends an entry to its inverse, so an
+    occurrence ending there is exactly an occurrence of pi in the child
+    that uses the new maximum.  word may hold any distinct numbers (the
+    kernel passes a rearrangement of 0..last-1 followed by a half-integer
+    probe); only their relative order matters.
     """
     body = pattern.body.values
     below, above = pattern._below, pattern._above
@@ -156,26 +129,3 @@ def occurs_ending_at(word: Sequence[int], last: int, pattern: ClassicalPattern) 
 
     return extend(0, 0)
 
-
-def contains_fishburn(p: Permutation) -> bool:
-    """Does p contain positions i < j with (p_i, p_{i+1}, p_j) a 231 copy
-    and p_i = p_j + 1?
-
-    Since values are distinct, scanning each adjacent ascent (p_i, p_{i+1})
-    and locating the value p_i - 1 decides this in linear time.
-    """
-    values = p.values
-    n = len(values)
-    pos = {v: i for i, v in enumerate(values)}
-    for i in range(n - 1):
-        v = values[i]
-        if values[i + 1] > v and v >= 2 and pos[v - 1] >= i + 2:
-            return True
-    return False
-
-
-def avoids(p: Permutation, patterns: PatternSet) -> bool:
-    """Does p avoid every pattern in the set (and the Fishburn pattern if flagged)?"""
-    if patterns.fishburn and contains_fishburn(p):
-        return False
-    return not any(occurs_in(p.values, pat) for pat in patterns.classical)

@@ -233,9 +233,3 @@ def identity_sides(identity: PellIdentity, n: int) -> tuple[int, int]:
                 left += comb(l - 3, l - k) * q[n - l]
         return left, q[n]
     raise TypeError(f"unknown identity {identity!r}")
-
-
-def check_identity(identity: PellIdentity, n: int) -> bool:
-    """True iff literal summation agrees with the closed right side at n."""
-    left, right = identity_sides(identity, n)
-    return left == right

@@ -20,6 +20,7 @@ from fishburn.enumeration import DEFAULT_COUNT_CAP, AvoidanceQuery, CapacityErro
 from fishburn.patterns import PatternSet
 from fishburn.sequences import (
     IDENTITY_MIN_N,
+    SERIES_CAP,
     TABLE_ROWS,
     PellIdentity,
     SequenceRow,
@@ -219,7 +220,13 @@ def verify_prefix_claims(max_n: int) -> VerificationReport:
 
 
 def verify_identities(max_n: int) -> list[VerificationReport]:
-    """Every Pell identity by literal summation, one report per identity."""
+    """Every Pell identity by literal summation, one report per identity.
+
+    The nested sum makes the run time grow about twentyfold per doubling of
+    max_n, so max_n is held to the series cap.
+    """
+    if max_n > SERIES_CAP:
+        raise CapacityError(f"max_n={max_n} exceeds the identity cap of {SERIES_CAP}")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     reports = []

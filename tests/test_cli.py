@@ -176,6 +176,9 @@ def test_verify_capacity_exit(capsys):
     code, _, err = run_cli(capsys, "verify", "table", "--max-n", "15")
     assert code == 3
     assert "cap" in err
+    code, out, err = run_cli(capsys, "verify", "identities", "--max-n", "65")
+    assert (code, out) == (3, "")
+    assert "cap" in err
 
 
 def test_count_one_pos_output_file(tmp_path, capsys):

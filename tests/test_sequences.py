@@ -11,7 +11,6 @@ from fishburn.sequences import (
     TABLE_ROWS,
     PellIdentity,
     RangeError,
-    check_identity,
     eval_row,
     evaluate_formula,
     fibonacci,
@@ -150,14 +149,15 @@ def test_identity_examples():
 def test_identities_hold_up_to_40():
     for identity in PellIdentity:
         for n in range(IDENTITY_MIN_N[identity], 41):
-            assert check_identity(identity, n), (identity, n)
+            left, right = identity_sides(identity, n)
+            assert left == right, (identity, n)
 
 
 def test_identities_reject_out_of_range():
     with pytest.raises(RangeError):
-        check_identity(PellIdentity.SUM_P, 0)
+        identity_sides(PellIdentity.SUM_P, 0)
     with pytest.raises(RangeError):
-        check_identity(PellIdentity.NESTED_Q, 2)
+        identity_sides(PellIdentity.NESTED_Q, 2)
 
 
 def test_row_validity_ranges_follow_the_table():

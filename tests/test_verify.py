@@ -127,6 +127,8 @@ def test_run_suite_dispatch():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         verify_table(15)
+    with pytest.raises(CapacityError):
+        verify_identities(65)
 
 
 def _sample_reports():
