@@ -22,10 +22,13 @@ pi's inverse ending at the last index of the child's inverse, which the
 anchored matcher `occurs_ending_at` decides.
 
 Members are visited in tree order: depth first by size, the sites of each
-member tried left to right.  `members` sorts, so member lists are
-lexicographic.  Counts are exact arbitrary-precision integers.  Caps default
-to 14 for counting and 10 for materializing member lists; both are
-arguments.
+member tried left to right.  `member_values` collects the members' value
+tuples and sorts them, so member lists are lexicographic; `members` wraps
+those tuples in `Permutation` objects.  Counts are exact arbitrary-precision
+integers.  Caps default to 14 for counting and 10 for materializing member
+lists; both are arguments.  The kernel recurses once per size, so a length
+whose search overruns the interpreter's recursion limit raises
+`CapacityError` too, whatever the cap.
 """
 
 from __future__ import annotations
@@ -171,7 +174,10 @@ def _grow(
                 leaf((*word[:s], top, *word[s:]))
         return found
 
-    return grow(0, [], [], 0)
+    try:
+        return grow(0, [], [], 0)
+    except RecursionError:
+        raise CapacityError(f"n={n} exceeds the length the recursive kernel can reach") from None
 
 
 def search(
@@ -198,9 +204,14 @@ def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
     return search(query, None, cap=cap)
 
 
-def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> tuple[Permutation, ...]:
-    """Every member of the class, lexicographically ordered."""
+def member_values(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> list[tuple[int, ...]]:
+    """The value tuples of every member of the class, lexicographically sorted."""
     found: list[tuple[int, ...]] = []
     _grow(query, cap, found.append)
     found.sort()
-    return tuple(map(Permutation, found))
+    return found
+
+
+def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> tuple[Permutation, ...]:
+    """Every member of the class, lexicographically ordered."""
+    return tuple(map(Permutation, member_values(query, cap=cap)))

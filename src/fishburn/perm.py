@@ -73,11 +73,20 @@ class Permutation:
         return frozenset(out)
 
     def to_text(self) -> str:
-        return " ".join(str(v) for v in self.values)
+        return values_format(len(self.values)) % self.values
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         return cls(parse_values(text))
+
+
+def values_format(n: int) -> str:
+    """The %-format string that encodes n values as text.
+
+    >>> values_format(3) % (3, 1, 2)
+    '3 1 2'
+    """
+    return " ".join(["%d"] * n)
 
 
 def parse_values(text: str) -> tuple[int, ...]:

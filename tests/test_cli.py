@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fishburn import AvoidanceQuery, PatternSet, members
 from fishburn.cli import main
 
 
@@ -45,6 +51,68 @@ def test_list_single_and_empty(capsys):
     assert (code, out) == (0, "1\n")
     code, out, _ = run_cli(capsys, "list", "-n", "0")
     assert (code, out) == (0, "\n")  # the empty permutation encodes as an empty line
+
+
+def _list_stdout(argv):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        assert main(["list", *argv]) == 0
+    return buffer.getvalue()
+
+
+def _member_lines(query):
+    return "".join(p.to_text() + "\n" for p in members(query, cap=query.n))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 8),
+    st.lists(st.sampled_from(["321", "1243", "31452", "2413"]), unique=True),
+    st.booleans(),
+    st.sampled_from([None, 1, 2]),
+    st.data(),
+)
+def test_list_prints_the_members_byte_for_byte(n, texts, fishburn, one_position, data):
+    prefix = tuple(data.draw(st.lists(st.integers(1, n), unique=True, max_size=n))) if n else ()
+    prefix_negation = bool(prefix) and data.draw(st.booleans())
+    argv = ["-n", str(n), "--avoid", ",".join(texts)]
+    if fishburn:
+        argv.append("--fishburn")
+    if one_position:
+        argv += ["--one-pos", str(one_position)]
+    if prefix:
+        argv += ["--prefix", " ".join(map(str, prefix))]
+    if prefix_negation:
+        argv.append("--prefix-negation")
+    query = AvoidanceQuery(
+        n,
+        PatternSet.parse(",".join(texts), fishburn=fishburn),
+        one_position=one_position,
+        prefix=prefix,
+        prefix_negation=prefix_negation,
+    )
+    assert _list_stdout(argv) == _member_lines(query)
+
+
+def test_list_sorts_two_digit_values_numerically():
+    out = _list_stdout(["--avoid", "321,1243", "--fishburn", "-n", "11", "--cap", "11"])
+    assert out == _member_lines(AvoidanceQuery(11, PatternSet.parse("321,1243", fishburn=True)))
+    rows = [tuple(map(int, line.split())) for line in out.splitlines()]
+    assert rows == sorted(set(rows))
+    # Numeric order, not text order: "1 2 ..." precedes "1 10 ...".
+    assert out.startswith("1 2 3 4 5 6 7 8 9 10 11\n")
+    assert "\n1 10 2 3 4 5 6 7 8 9 11\n" in out
+
+
+def test_list_output_bytes_are_pinned():
+    out = _list_stdout(["--fishburn", "-n", "9"])
+    assert out.count("\n") == 31240  # the Fishburn number c_9
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b4a9ac4e8c7d24a0ac33738c4a6a823d7c095bc09bb66a6a3ddc4252eef1a1d1"
+    )
+    # Values above 255 sort and print like any other.
+    out = _list_stdout(["--avoid", "12", "-n", "300", "--cap", "300"])
+    assert out == " ".join(str(v) for v in range(300, 0, -1)) + "\n"
 
 
 def test_list_triple_class(capsys):
@@ -85,6 +153,13 @@ def test_capacity_error_exits_3(capsys):
     assert "cap" in err
     code, _, _ = run_cli(capsys, "list", "--avoid", "321,132", "-n", "11")
     assert code == 3
+
+
+def test_length_beyond_the_kernel_recursion_is_a_capacity_error(capsys):
+    code, out, err = run_cli(capsys, "count", "--avoid", "12", "-n", "1200", "--cap", "1200")
+    assert (code, out) == (3, "")
+    assert err.startswith("fishburn: n=1200 exceeds") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cap_flag_raises_the_limit(capsys):
