@@ -26,9 +26,7 @@ member tried left to right.  `member_values` collects the members' value
 tuples and sorts them, so member lists are lexicographic; `members` wraps
 those tuples in `Permutation` objects.  Counts are exact arbitrary-precision
 integers.  Caps default to 14 for counting and 10 for materializing member
-lists; both are arguments.  The kernel recurses once per size, so a length
-whose search overruns the interpreter's recursion limit raises
-`CapacityError` too, whatever the cap.
+lists; both are arguments, and they are the only length limits.
 """
 
 from __future__ import annotations
@@ -124,10 +122,17 @@ def _grow(
         if p.body.values != _PATTERN_321
     )
 
-    def grow(m: int, word: list[int], inv: list[int], run: int) -> int:
-        """Count, and pass to leaf, the members of size n that descend from
-        word, a member of size m whose inverse (zero-based) is inv and whose
-        final ascending run starts at index run."""
+    # Members come off the stack in tree order (depth first, sites left to
+    # right): a member's children all have one size, so they are either all
+    # leaves, emitted as they are met, or all inner members, pushed right to
+    # left so that the leftmost one's subtree is finished before its next
+    # sibling is popped.  Each entry is a member word of size m < n, its
+    # inverse inv (zero-based) and the index run where its final ascending
+    # run starts.
+    found = 0
+    stack = [(0, [], [], 0)]
+    while stack:
+        m, word, inv, run = stack.pop()
         top = m + 1
         lo, hi = first_site[top], last_site[top]
         # 321: the new maximum can only be the 3, so it makes a 321 iff the
@@ -145,7 +150,7 @@ def _grow(
             # a value between the entries s-1 and s; s - 0.5 is
             # order-isomorphic to the inverse after insertion.
             probe = inv + [0]
-        found = 0
+        children = []
         for s in range(lo, hi + 1):
             # Fishburn: the new maximum can only be the 3 of the 231, with
             # a = word[s-1] as the 2; it makes an occurrence iff a-1 lies
@@ -161,7 +166,7 @@ def _grow(
             if top < n:
                 child = [p + (p >= s) for p in inv]
                 child.append(s)
-                found += grow(top, word[:s] + [top] + word[s:], child, run if s == m else s + 1)
+                children.append((top, word[:s] + [top] + word[s:], child, run if s == m else s + 1))
                 continue
             if target >= 0 and m and inv[0] + (s <= inv[0]) != target:
                 continue
@@ -172,12 +177,8 @@ def _grow(
             found += 1
             if leaf is not None:
                 leaf((*word[:s], top, *word[s:]))
-        return found
-
-    try:
-        return grow(0, [], [], 0)
-    except RecursionError:
-        raise CapacityError(f"n={n} exceeds the length the recursive kernel can reach") from None
+        stack.extend(reversed(children))
+    return found
 
 
 def search(

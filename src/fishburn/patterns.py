@@ -50,9 +50,6 @@ class ClassicalPattern:
     def __len__(self) -> int:
         return len(self.body)
 
-    def __str__(self) -> str:
-        return "".join(str(v) for v in self.body.values)
-
 
 @dataclass(frozen=True)
 class PatternSet:

@@ -72,13 +72,6 @@ class Permutation:
                 best = v
         return frozenset(out)
 
-    def to_text(self) -> str:
-        return values_format(len(self.values)) % self.values
-
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        return cls(parse_values(text))
-
 
 def values_format(n: int) -> str:
     """The %-format string that encodes n values as text.

@@ -152,7 +152,7 @@ def _mul_trunc(a: list[int], b: tuple[int, ...], degree: int) -> list[int]:
     return out
 
 
-def fishburn_series(degree: int, *, cap: int = SERIES_CAP) -> tuple[int, ...]:
+def fishburn_series(degree: int) -> tuple[int, ...]:
     """Coefficients c_0..c_degree of 1 + sum_{n>=1} prod_{i=1..n} (1-(1-t)^i).
 
     The n-th product starts at degree n, so summands beyond n = degree cannot
@@ -163,8 +163,8 @@ def fishburn_series(degree: int, *, cap: int = SERIES_CAP) -> tuple[int, ...]:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree > cap:
-        raise CapacityError(f"degree {degree} exceeds the series cap of {cap}")
+    if degree > SERIES_CAP:
+        raise CapacityError(f"degree {degree} exceeds the series cap of {SERIES_CAP}")
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     one_minus_t_power = [1]  # (1-t)^i
@@ -199,22 +199,11 @@ IDENTITY_MIN_N = {
 
 
 def identity_sides(identity: PellIdentity, n: int) -> tuple[int, int]:
-    """Both sides of the identity at n, the left computed by literal summation.
-
-    The recurrences are re-unrolled locally on every call so the checker does
-    not depend on any cached evaluator state.
-    """
+    """Both sides of the identity at n, the left computed by literal summation."""
     if n < IDENTITY_MIN_N[identity]:
         raise RangeError(f"{identity.name} is stated for n >= {IDENTITY_MIN_N[identity]}, got n={n}")
-    p = [0, 1]
-    while len(p) < n + 2:
-        p.append(2 * p[-1] + p[-2])
-    q = [1]
-    for i in range(1, n + 1):
-        half, rem = divmod(p[i] + p[i - 1] + 1, 2)
-        if rem:
-            raise ArithmeticError(f"P({i}) + P({i - 1}) + 1 is odd")
-        q.append(half)
+    p = [pell(i) for i in range(n + 2)]
+    q = [q_value(i) for i in range(n + 1)]
 
     if identity is PellIdentity.SUM_P:
         return sum(p[i] for i in range(1, n + 1)), (p[n + 1] + p[n] - 1) // 2

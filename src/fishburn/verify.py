@@ -71,9 +71,9 @@ def _finish(suite: str, records: list[CheckRecord]) -> VerificationReport:
     return VerificationReport(suite, tuple(records), passed)
 
 
-def _check_cap(max_n: int) -> None:
-    if max_n > DEFAULT_COUNT_CAP:
-        raise CapacityError(f"max_n={max_n} exceeds the enumeration cap of {DEFAULT_COUNT_CAP}")
+def _check_cap(max_n: int, cap: int, what: str) -> None:
+    if max_n > cap:
+        raise CapacityError(f"max_n={max_n} exceeds the {what} cap of {cap}")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
 
@@ -101,7 +101,7 @@ def _verify_rows(
 ) -> list[VerificationReport]:
     """One report per row: its counted class size against its closed form
     for first_n <= n <= max_n, asserted from the row's valid_from on."""
-    _check_cap(max_n)
+    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
     reports = []
     for row in rows:
         records = []
@@ -133,7 +133,7 @@ def verify_lemmas(max_n: int) -> VerificationReport:
     the 321-avoiding Fishburn classes, and dropping the Fishburn condition
     in favour of classical 231-avoidance leaves each checked class unchanged
     (as sorted member lists)."""
-    _check_cap(max_n)
+    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
     records = []
     base = PatternSet.parse("321", fishburn=True)
     for n in range(1, max_n + 1):
@@ -167,7 +167,7 @@ WILF_CLASS_B = "213,123,231"
 def verify_wilf_complement(max_n: int) -> VerificationReport:
     """Complementation maps the 231,321,213-avoiders bijectively onto the
     213,123,231-avoiders, so the two classes are equinumerous for every n."""
-    _check_cap(max_n)
+    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
     records = []
     class_a = PatternSet.parse(WILF_CLASS_A)
     class_b = PatternSet.parse(WILF_CLASS_B)
@@ -184,7 +184,7 @@ def verify_lrmax_bijection(max_n: int) -> VerificationReport:
     """On the 321,3142-avoiding Fishburn class, taking left-to-right maxima
     is injective and its image is exactly the subsets of {1..n} containing n
     (2^(n-1) of them)."""
-    _check_cap(max_n)
+    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
     records = []
     patterns = PatternSet.parse("321,3142", fishburn=True)
     for n in range(1, max_n + 1):
@@ -203,7 +203,7 @@ def verify_prefix_claims(max_n: int) -> VerificationReport:
     """Prefix-constrained counts in the 321,21354-avoiding Fishburn class:
     members opening with k,1 and then not 2 number C(n-2, k-1), and n,1
     opens exactly one member."""
-    _check_cap(max_n)
+    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
     records = []
     patterns = PatternSet.parse("321,21354", fishburn=True)
     for n in range(2, max_n + 1):
@@ -225,10 +225,7 @@ def verify_identities(max_n: int) -> list[VerificationReport]:
     The nested sum makes the run time grow about twentyfold per doubling of
     max_n, so max_n is held to the series cap.
     """
-    if max_n > SERIES_CAP:
-        raise CapacityError(f"max_n={max_n} exceeds the identity cap of {SERIES_CAP}")
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _check_cap(max_n, SERIES_CAP, "identity")
     reports = []
     for identity in PellIdentity:
         records = []

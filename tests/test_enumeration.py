@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -89,6 +90,23 @@ def test_search_visit_count_matches_count():
     assert search(AvoidanceQuery(5, _ps("321,31452")), None) == 21
 
 
+def test_search_visit_order_is_pinned():
+    # Generating-tree order (depth first, sites left to right), recorded
+    # from the recursive kernel the explicit-stack walk replaced.
+    queries = [
+        AvoidanceQuery(8, PatternSet(fishburn=True)),
+        AvoidanceQuery(9, _ps("321,1243"), one_position=2),
+        AvoidanceQuery(8, _ps("2413,132", fishburn=False)),
+        AvoidanceQuery(9, _ps("321,21354"), prefix=(5, 1, 2), prefix_negation=True),
+    ]
+    digest = hashlib.sha256()
+    for q in queries:
+        seen = []
+        search(q, lambda p: seen.append(p.values), cap=q.n)
+        digest.update(repr(seen).encode())
+    assert digest.hexdigest() == "c7510dab1193f053cf07de7ece100f1e257cc23191dfda3b2457749ad878c51f"
+
+
 def test_search_never_visits_non_members():
     q = AvoidanceQuery(6, _ps("321,21354"))
     for p in members(q):
@@ -162,6 +180,18 @@ def test_capacity_errors_and_overrides():
         members(AvoidanceQuery(11, _ps("321,132")))
     assert count(AvoidanceQuery(15, _ps("321,132")), cap=15) == 15
     assert len(members(AvoidanceQuery(11, _ps("321,132")), cap=11)) == 11
+
+
+def _from_depth(frames, fn):
+    return fn() if frames == 0 else _from_depth(frames - 1, fn)
+
+
+def test_search_depth_does_not_depend_on_the_caller_stack():
+    # The cap is the only length limit: a deep search works the same from a
+    # deep caller as from the top.
+    q = AvoidanceQuery(900, PatternSet(fishburn=True), prefix=tuple(range(900, 0, -1)))
+    assert count(q, cap=900) == 1
+    assert _from_depth(150, lambda: count(q, cap=900)) == 1
 
 
 def test_results_are_deterministic_across_runs():

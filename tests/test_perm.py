@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishburn.perm import ParseError, Permutation
+from fishburn.perm import ParseError, Permutation, parse_values, values_format
 
 perms = st.integers(0, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(lambda w: Permutation(tuple(w)))
@@ -53,19 +53,20 @@ def test_maxima_include_first_entry_and_n(p):
 
 
 def test_text_round_trip():
-    p = Permutation((3, 1, 2, 4, 7, 5, 6))
-    assert p.to_text() == "3 1 2 4 7 5 6"
-    assert Permutation.from_text("3 1 2 4 7 5 6") == p
-    assert Permutation.from_text("3124756") == p
-    assert Permutation.from_text("") == Permutation(())
+    values = (3, 1, 2, 4, 7, 5, 6)
+    assert values_format(7) % values == "3 1 2 4 7 5 6"
+    assert parse_values("3 1 2 4 7 5 6") == values
+    assert parse_values("3124756") == values
+    assert parse_values("") == ()
+    assert values_format(0) % () == ""
 
 
 def test_text_parse_errors():
     with pytest.raises(ParseError):
-        Permutation.from_text("1 2 x")
+        parse_values("1 2 x")
     with pytest.raises(ParseError):
-        Permutation.from_text("120")
+        parse_values("120")
     with pytest.raises(ParseError):
-        Permutation.from_text("0 1")
+        parse_values("0 1")
     with pytest.raises(ValueError):
-        Permutation.from_text("1 2 2")
+        Permutation(parse_values("1 2 2"))
