@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -288,15 +287,13 @@ def test_list_capacity_error_leaves_existing_output_untouched(tmp_path, capsys):
     ids=["mid-stream", "at-flush"],
 )
 def test_closed_stdout_pipe_exits_zero_quietly(argv, first_line):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     # Buffered stdout, as from a shell, so a short output breaks at the flush.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "fishburn", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**env, "PYTHONPATH": path},
+        env=env,
     )
     if first_line is not None:
         assert proc.stdout.readline() == first_line

@@ -18,7 +18,7 @@ from fishburn.enumeration import (
 )
 from fishburn.patterns import PatternSet, parse_pattern
 from fishburn.perm import Permutation
-from fishburn.sequences import TABLE_ROWS
+from fishburn.sequences import TABLE_ROWS, q_value
 
 
 def _ps(text, fishburn=True):
@@ -29,6 +29,10 @@ def test_count_examples():
     assert count(AvoidanceQuery(4, _ps("321,1243"), one_position=2)) == 5
     assert count(AvoidanceQuery(0, _ps("321,1423,2143"))) == 1
     assert count(AvoidanceQuery(5, _ps("321,312"))) == 8
+    # Three classes at n=11, past the oracle's reach, against closed forms.
+    assert count(AvoidanceQuery(11, _ps("321,1243")), cap=11) == 11 * 11 - 3 * 11 + 4 == 92
+    assert count(AvoidanceQuery(11, _ps("321,31452")), cap=11) == q_value(11) == 4060
+    assert count(AvoidanceQuery(11, _ps("321,41523"), one_position=1), cap=11) == q_value(10) == 1682
 
 
 def test_count_of_empty_length_is_one_for_any_patterns():
@@ -137,6 +141,13 @@ def test_kernel_equals_brute_force_with_filters():
         assert count(
             AvoidanceQuery(n, ps2, prefix=(3, 1, 2), prefix_negation=True)
         ) == oracle.count(n, bodies2, fishburn=True, prefix=(3, 1, 2), prefix_negation=True)
+    # Full member lists, in order: unconstrained Fishburn and the `prefix`
+    # suite's queries at n=8.
+    cases = [(PatternSet(fishburn=True), [], {}), (ps2, bodies2, dict(prefix=(8, 1)))]
+    cases += [(ps2, bodies2, dict(prefix=(k, 1, 2), prefix_negation=True)) for k in range(3, 8)]
+    for patterns, bodies, filters in cases:
+        got = members(AvoidanceQuery(8, patterns, **filters))
+        assert list(got) == oracle.members(8, bodies, fishburn=True, **filters)
 
 
 def test_classical_only_queries_need_no_fishburn_flag():
