@@ -20,10 +20,8 @@ from fishburn.enumeration import (
     AvoidanceQuery,
     CapacityError,
     count,
+    members,
 )
-# `list` prints value tuples; under this name perfbench's tracer books the
-# search and sort to the enumeration layer.
-from fishburn.enumeration import member_values as members
 from fishburn.patterns import PatternSet
 from fishburn.perm import ParseError, parse_values, values_format
 from fishburn.sequences import fishburn_series

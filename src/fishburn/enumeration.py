@@ -21,12 +21,12 @@ occurrence of pi that uses the new maximum is therefore an occurrence of
 pi's inverse ending at the last index of the child's inverse, which the
 anchored matcher `occurs_ending_at` decides.
 
-Members are visited in tree order: depth first by size, the sites of each
-member tried left to right.  `member_values` collects the members' value
-tuples and sorts them, so member lists are lexicographic; `members` wraps
-those tuples in `Permutation` objects.  Counts are exact arbitrary-precision
-integers.  Caps default to 14 for counting and 10 for materializing member
-lists; both are arguments, and they are the only length limits.
+A member is its tuple of values.  `search` visits the members in tree
+order: depth first by size, the sites of each member tried left to right.
+`members` collects and sorts them, so member lists are lexicographic.
+Counts are exact arbitrary-precision integers.  Caps default to 14 for
+counting and 10 for materializing member lists; both are arguments, and
+they are the only length limits.
 """
 
 from __future__ import annotations
@@ -78,13 +78,20 @@ class AvoidanceQuery:
                 raise ValueError(f"prefix value {v} outside 1..{self.n}")
 
 
-def _grow(
+def search(
     query: AvoidanceQuery,
-    cap: int,
-    leaf: Callable[[tuple[int, ...]], None] | None,
+    visit: Callable[[tuple[int, ...]], None] | None,
+    *,
+    cap: int = DEFAULT_COUNT_CAP,
 ) -> int:
-    """The generating-tree kernel: count the members of the class, passing
-    each one's values to leaf (when set) in tree order."""
+    """Visit every member of the class exactly once, in generating-tree order.
+
+    The tree is walked depth first, the children of a member (its new
+    maximum inserted at each site, left to right) in turn, so members that
+    share a parent are visited together; the order is not lexicographic.
+    visit, when set, is passed each member's tuple of values.  Returns the
+    number of members.
+    """
     n = query.n
     if n > cap:
         raise CapacityError(f"n={n} exceeds the cap of {cap}")
@@ -92,8 +99,8 @@ def _grow(
     if target >= n:
         return 0
     if n == 0:
-        if leaf is not None:
-            leaf(())
+        if visit is not None:
+            visit(())
         return 1
 
     # Deleting the maximum keeps the head's entries up to m in front, in
@@ -116,10 +123,11 @@ def _grow(
 
     fishburn = query.patterns.fishburn
     has_321 = any(p.body.values == _PATTERN_321 for p in query.patterns.classical)
+    # The inverse of a pattern body lists its positions in order of value.
     inverses = tuple(
-        ClassicalPattern(p.body.inverse())
-        for p in query.patterns.classical
-        if p.body.values != _PATTERN_321
+        ClassicalPattern(Permutation(tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))))
+        for w in (p.body.values for p in query.patterns.classical)
+        if w != _PATTERN_321
     )
 
     # Members come off the stack in tree order (depth first, sites left to
@@ -175,29 +183,10 @@ def _grow(
                 if at == ban_index:
                     continue
             found += 1
-            if leaf is not None:
-                leaf((*word[:s], top, *word[s:]))
+            if visit is not None:
+                visit((*word[:s], top, *word[s:]))
         stack.extend(reversed(children))
     return found
-
-
-def search(
-    query: AvoidanceQuery,
-    visit: Callable[[Permutation], None] | None,
-    *,
-    cap: int = DEFAULT_COUNT_CAP,
-) -> int:
-    """Visit every member of the class exactly once, in generating-tree order.
-
-    The tree is walked depth first, the children of a member (its new
-    maximum inserted at each site, left to right) in turn, so members that
-    share a parent are visited together; the order is not lexicographic.
-    Returns the number of members.  With visit None nothing is visited and
-    no member object is built: the search only counts.
-    """
-    if visit is None:
-        return _grow(query, cap, None)
-    return _grow(query, cap, lambda values: visit(Permutation(values)))
 
 
 def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
@@ -205,14 +194,9 @@ def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
     return search(query, None, cap=cap)
 
 
-def member_values(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> list[tuple[int, ...]]:
+def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> list[tuple[int, ...]]:
     """The value tuples of every member of the class, lexicographically sorted."""
     found: list[tuple[int, ...]] = []
-    _grow(query, cap, found.append)
+    search(query, found.append, cap=cap)
     found.sort()
     return found
-
-
-def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> tuple[Permutation, ...]:
-    """Every member of the class, lexicographically ordered."""
-    return tuple(map(Permutation, member_values(query, cap=cap)))

@@ -1,4 +1,4 @@
-"""The permutation value type and its structural operations.
+"""Value-tuple permutations: the pattern body type and structural operations.
 
 A permutation of length n is a rearrangement of {1, ..., n}; positions and
 values are one-indexed throughout, matching the combinatorics literature.
@@ -12,7 +12,7 @@ accepted as a compact form for lengths up to 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class ParseError(ValueError):
@@ -21,9 +21,10 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Permutation:
-    """An immutable rearrangement of {1, ..., n}.
+    """An immutable rearrangement of {1, ..., n}: the validated body of a
+    classical pattern.
 
-    >>> Permutation((2, 1, 3)).complement()
+    >>> Permutation((2, 3, 1))
     Permutation((2, 3, 1))
     >>> len(Permutation(()))
     0
@@ -40,37 +41,33 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
     def __repr__(self) -> str:
         return f"Permutation({self.values!r})"
 
-    def complement(self) -> "Permutation":
-        """Replace each entry v by n+1-v.  An involution."""
-        n = len(self.values)
-        return Permutation(tuple(n + 1 - v for v in self.values))
 
-    def inverse(self) -> "Permutation":
-        """Send each value to its position.  An involution.
+def complement(values: Sequence[int]) -> tuple[int, ...]:
+    """Replace each entry v of a permutation of 1..n by n+1-v.  An involution.
 
-        >>> Permutation((2, 3, 1)).inverse()
-        Permutation((3, 1, 2))
-        """
-        out = [0] * len(self.values)
-        for i, v in enumerate(self.values, 1):
-            out[v - 1] = i
-        return Permutation(tuple(out))
+    >>> complement((2, 1, 3))
+    (2, 3, 1)
+    """
+    n = len(values)
+    return tuple(n + 1 - v for v in values)
 
-    def left_to_right_maxima(self) -> frozenset[int]:
-        """The set of entries greater than every entry to their left."""
-        out = []
-        best = 0
-        for v in self.values:
-            if v > best:
-                out.append(v)
-                best = v
-        return frozenset(out)
+
+def left_to_right_maxima(values: Sequence[int]) -> frozenset[int]:
+    """The set of entries greater than every entry to their left.
+
+    >>> sorted(left_to_right_maxima((3, 1, 2, 4, 7, 5, 6)))
+    [3, 4, 7]
+    """
+    out = []
+    best = 0
+    for v in values:
+        if v > best:
+            out.append(v)
+            best = v
+    return frozenset(out)
 
 
 def values_format(n: int) -> str:

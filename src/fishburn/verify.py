@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 from fishburn.enumeration import DEFAULT_COUNT_CAP, AvoidanceQuery, CapacityError, count, members, search
 from fishburn.patterns import PatternSet
+from fishburn.perm import complement, left_to_right_maxima
 from fishburn.sequences import (
     IDENTITY_MIN_N,
     SERIES_CAP,
@@ -137,17 +138,9 @@ def verify_lemmas(max_n: int) -> VerificationReport:
     records = []
     base = PatternSet.parse("321", fishburn=True)
     for n in range(1, max_n + 1):
-        total = 0
-        in_first_two = 0
-
-        def see(p):
-            nonlocal total, in_first_two
-            total += 1
-            if p.values[0] == 1 or (len(p.values) > 1 and p.values[1] == 1):
-                in_first_two += 1
-
-        search(AvoidanceQuery(n, base), see, cap=max_n)
-        records.append(_record("one-in-first-two", n, in_first_two, total, True))
+        flags = []
+        search(AvoidanceQuery(n, base), lambda values: flags.append(1 in values[:2]), cap=max_n)
+        records.append(_record("one-in-first-two", n, sum(flags), len(flags), True))
     for sigma in REDUCTION_SIGMAS:
         fishburn_side = PatternSet.parse(f"321,{sigma}", fishburn=True)
         classical_side = PatternSet.parse(f"231,321,{sigma}", fishburn=False)
@@ -174,8 +167,7 @@ def verify_wilf_complement(max_n: int) -> VerificationReport:
     for n in range(max_n + 1):
         lhs = members(AvoidanceQuery(n, class_a), cap=max_n)
         rhs = members(AvoidanceQuery(n, class_b), cap=max_n)
-        image = sorted(p.complement().values for p in lhs)
-        bijective = image == [p.values for p in rhs]
+        bijective = sorted(map(complement, lhs)) == rhs
         records.append(_record("wilf-complement", n, len(lhs), len(rhs), True, extra_ok=bijective))
     return _finish("wilf-complement", records)
 
@@ -189,7 +181,7 @@ def verify_lrmax_bijection(max_n: int) -> VerificationReport:
     patterns = PatternSet.parse("321,3142", fishburn=True)
     for n in range(1, max_n + 1):
         mem = members(AvoidanceQuery(n, patterns), cap=max_n)
-        images = {p.left_to_right_maxima() for p in mem}
+        images = set(map(left_to_right_maxima, mem))
         family = {
             frozenset({n} | {i + 1 for i in range(n - 1) if mask >> i & 1})
             for mask in range(1 << (n - 1))

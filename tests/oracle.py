@@ -1,16 +1,15 @@
 """Brute-force reference implementations for cross-checking the search kernel.
 
 Everything here works by filtering all n! permutations against the literal
-definitions (no pruning, no incremental state) and deliberately shares no
-matching code with the package; the only import is the Permutation value type.
-Keep it dumb: this module is the ground truth the fast code is judged against.
+definitions (no pruning, no incremental state) and imports nothing from the
+package, so it shares no code with what it checks.  Members are value
+tuples, as the package's `members` returns them.  Keep it dumb: this module
+is the ground truth the fast code is judged against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-
-from fishburn.perm import Permutation
 
 
 def contains_pattern(word, pattern):
@@ -68,7 +67,7 @@ def members(n, classical=(), fishburn=False, one_position=None, prefix=(), prefi
         if not _passes_filters(word, one_position, prefix, prefix_negation):
             continue
         if is_member(word, classical, fishburn):
-            out.append(Permutation(word))
+            out.append(word)
     return out
 
 

@@ -4,9 +4,7 @@ brute-force membership test of `oracle` for each member it lists.
 
 Acceptance criteria 1 and 4 check the counts alone to n=10, and criterion 2
 checks counts against the oracle to n=8; this is the check that, at n=9,
-the kernel lists only members, each once.  The module keeps the name it had
-when these rows were compared with the prefix search the kernel replaced,
-so the test ids stay the same.
+the kernel lists only members, each once.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from fishburn.verify import DECOMPOSITION_CHECKS
     ids=lambda r: f"{r.row_id}@{r.one_position}" if r.one_position else r.row_id,
 )
 def test_counts_agree_at_n9(row):
-    words = [p.values for p in members(AvoidanceQuery(9, row.patterns, one_position=row.one_position))]
+    words = members(AvoidanceQuery(9, row.patterns, one_position=row.one_position))
     assert len(words) == eval_row(row, 9)
     assert all(a < b for a, b in zip(words, words[1:]))
     bodies = [p.body.values for p in row.patterns.classical]
