@@ -4,7 +4,9 @@ brute-force membership test of `oracle` for each member it lists.
 
 Acceptance criteria 1 and 4 check the counts alone to n=10, and criterion 2
 checks counts against the oracle to n=8; this is the check that, at n=9,
-the kernel lists only members, each once.
+the kernel lists only members, each once.  The module keeps the name it had
+when these rows were compared with the prefix search the kernel replaced,
+so the test ids stay the same.
 """
 
 from __future__ import annotations
