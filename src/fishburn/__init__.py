@@ -15,7 +15,6 @@ from fishburn.enumeration import (
     CapacityError,
     count,
     members,
-    search,
 )
 from fishburn.patterns import (
     ClassicalPattern,
@@ -75,7 +74,6 @@ __all__ = [
     "pell",
     "q_value",
     "run_suite",
-    "search",
     "verify_decompositions",
     "verify_identities",
     "verify_lemmas",

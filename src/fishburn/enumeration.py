@@ -22,8 +22,9 @@ pi's inverse ending at the last index of the child's inverse, which the
 anchored matcher `occurs_ending_at` decides.
 
 A member is its tuple of values.  `search` visits the members in tree
-order: depth first by size, the sites of each member tried left to right.
-`members` collects and sorts them, so member lists are lexicographic.
+order: depth first by size, the sites of each member tried left to right,
+counting them at every size on its way.  `members` collects and sorts
+them, so member lists are lexicographic.
 Counts are exact arbitrary-precision integers.  Caps default to 14 for
 counting and 10 for materializing member lists; both are arguments, and
 they are the only length limits.
@@ -83,25 +84,26 @@ def search(
     visit: Callable[[tuple[int, ...]], None] | None,
     *,
     cap: int = DEFAULT_COUNT_CAP,
-) -> int:
+) -> list[int]:
     """Visit every member of the class exactly once, in generating-tree order.
 
     The tree is walked depth first, the children of a member (its new
     maximum inserted at each site, left to right) in turn, so members that
     share a parent are visited together; the order is not lexicographic.
-    visit, when set, is passed each member's tuple of values.  Returns the
-    number of members.
+    visit, when set, is passed each member's tuple of values.  Returns
+    sizes, one count per size 0..n: sizes[n] is the number of members, and
+    the tally in the loop says what the lower entries count.
     """
     n = query.n
     if n > cap:
         raise CapacityError(f"n={n} exceeds the cap of {cap}")
     target = query.one_position - 1 if query.one_position else -1  # index of entry 1
     if target >= n:
-        return 0
+        return [0] * (n + 1)
     if n == 0:
         if visit is not None:
             visit(())
-        return 1
+        return [1]
 
     # Deleting the maximum keeps the head's entries up to m in front, in
     # head order, so a member of size m qualifies only if it opens with
@@ -137,10 +139,17 @@ def search(
     # sibling is popped.  Each entry is a member word of size m < n, its
     # inverse inv (zero-based) and the index run where its final ascending
     # run starts.
-    found = 0
+    sizes = [0] * (n + 1)
     stack = [(0, [], [], 0)]
     while stack:
         m, word, inv, run = stack.pop()
+        # Without a prefix, sizes[m] is the class count at m, or with
+        # one_position the count of members with entry 1 at the target:
+        # insertions never move entry 1 left, and the target pruning below
+        # cuts only nodes with entry 1 right of it.  With a prefix the lower
+        # entries do not count the query at m; callers read only sizes[n].
+        if target < 0 or m and inv[0] == target:
+            sizes[m] += 1
         top = m + 1
         lo, hi = first_site[top], last_site[top]
         # 321: the new maximum can only be the 3, so it makes a 321 iff the
@@ -182,16 +191,16 @@ def search(
                 at = s if ban_value == top else inv[ban_value - 1] + (s <= inv[ban_value - 1])
                 if at == ban_index:
                     continue
-            found += 1
+            sizes[n] += 1
             if visit is not None:
                 visit((*word[:s], top, *word[s:]))
         stack.extend(reversed(children))
-    return found
+    return sizes
 
 
 def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
     """Exact cardinality of the class described by the query."""
-    return search(query, None, cap=cap)
+    return search(query, None, cap=cap)[-1]
 
 
 def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> list[tuple[int, ...]]:

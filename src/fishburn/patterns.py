@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from fishburn.perm import ParseError, Permutation, check_distinct_values, parse_values
+from fishburn.perm import ParseError, Permutation, parse_values
 
 MAX_PATTERN_SIZE = 9  # keeps the compact digit encoding unambiguous
 
@@ -76,7 +76,9 @@ def parse_pattern(text: str) -> ClassicalPattern:
         raise ParseError("empty pattern")
     if len(values) > MAX_PATTERN_SIZE:
         raise ParseError(f"pattern {text!r} longer than {MAX_PATTERN_SIZE}")
-    check_distinct_values(values, f"pattern {text!r}")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ParseError(f"invalid pattern {text!r}: value {repeated[0]} repeats")
     missing = set(range(1, len(values) + 1)) - set(values)
     if missing:
         raise ParseError(f"invalid pattern {text!r}: value {min(missing)} missing")

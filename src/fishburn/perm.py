@@ -105,12 +105,3 @@ def parse_values(text: str) -> tuple[int, ...]:
             raise ParseError(f"invalid token {token!r}: values must be positive")
         out.append(value)
     return tuple(out)
-
-
-def check_distinct_values(values: Sequence[int], what: str) -> None:
-    """Reject duplicated entries, naming the first offender."""
-    seen = set()
-    for v in values:
-        if v in seen:
-            raise ParseError(f"invalid {what}: value {v} repeats")
-        seen.add(v)

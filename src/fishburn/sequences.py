@@ -165,15 +165,12 @@ def fishburn_series(degree: int) -> tuple[int, ...]:
         raise ValueError("degree must be nonnegative")
     if degree > SERIES_CAP:
         raise CapacityError(f"degree {degree} exceeds the series cap of {SERIES_CAP}")
-    coeffs = [0] * (degree + 1)
-    coeffs[0] = 1
-    one_minus_t_power = [1]  # (1-t)^i
+    coeffs = [1] + [0] * degree
     product = [1]  # prod_{j<=i} (1 - (1-t)^j)
-    for _ in range(degree):
-        one_minus_t_power = _mul_trunc(one_minus_t_power, (1, -1), degree)
-        factor = [-c for c in one_minus_t_power]
-        factor[0] += 1
-        product = _mul_trunc(product, tuple(factor), degree)
+    for i in range(1, degree + 1):
+        # 1 - (1-t)^i = sum_{k=1..i} (-1)^(k+1) C(i, k) t^k
+        factor = (0, *((-1) ** (k + 1) * comb(i, k) for k in range(1, i + 1)))
+        product = _mul_trunc(product, factor, degree)
         for d, c in enumerate(product):
             coeffs[d] += c
     return tuple(coeffs)

@@ -21,7 +21,7 @@ from fishburn.enumeration import (
 )
 from fishburn.patterns import PatternSet, parse_pattern
 from fishburn.perm import Permutation
-from fishburn.sequences import TABLE_ROWS, q_value
+from fishburn.sequences import TABLE_ROWS, fishburn_series, q_value
 from fishburn.verify import run_suite
 
 
@@ -91,9 +91,13 @@ def test_one_beyond_first_two_positions_occurs_without_321():
 def test_search_visit_count_matches_count():
     q = AvoidanceQuery(6, _ps("321,14253"))
     seen = []
-    assert search(q, seen.append) == 48
+    assert search(q, seen.append)[-1] == 48
     assert len(seen) == count(q) == 48
-    assert search(AvoidanceQuery(5, _ps("321,31452")), None) == 21
+    assert search(AvoidanceQuery(5, _ps("321,31452")), None) == [1, 1, 2, 4, 9, 21]
+
+
+def test_one_walk_counts_the_fishburn_numbers_at_every_size():
+    assert search(AvoidanceQuery(10, PatternSet(fishburn=True)), None) == list(fishburn_series(10))
 
 
 def test_search_visit_order_is_pinned():
@@ -254,6 +258,12 @@ def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_positio
     q = AvoidanceQuery(n, ps, **filters)
     assert count(q) == oracle.count(n, bodies, fishburn=fishburn, **filters)
     assert members(q) == oracle.members(n, bodies, fishburn=fishburn, **filters)
+    if not prefix:
+        # Without a prefix one walk counts the query at every size up to n.
+        assert search(q, None) == [
+            oracle.count(m, bodies, fishburn=fishburn, one_position=one_position)
+            for m in range(n + 1)
+        ]
 
 
 @settings(deadline=None, max_examples=60)

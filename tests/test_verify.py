@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from fishburn import verify
 from fishburn.enumeration import CapacityError
 from fishburn.verify import (
     DECOMPOSITION_CHECKS,
@@ -182,3 +183,32 @@ def test_all_suites_output_bytes_are_pinned():
     }
     for formatter, digest in digests.items():
         assert hashlib.sha256(formatter(reports).encode()).hexdigest() == digest, formatter.__name__
+    # The smallest sizes, where a per-size tally from one walk goes wrong
+    # first (the empty member counts 1, entry 1 has no second position).
+    boundary = {
+        0: "c77a387e864315f4a58609c761f733e52234c463366c9445813bcce99044b50a",
+        1: "b48c57e299f131f94a4fe740e4cdf9deef943874940bd2157312e3ab69df7c08",
+        2: "75d48ef3213e774d137fb22fbcfbf705531ffd8d9cfdebd22cedfdb32f4f5199",
+    }
+    for max_n, digest in boundary.items():
+        text = format_delimited(run_suite("all", max_n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, max_n
+
+
+def test_verify_walks_the_tree_once_per_row(monkeypatch):
+    # One walk to max_n yields every smaller size, so the number of kernel
+    # walks does not grow with max_n.
+    calls = 0
+    walk = verify.search
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "search", counted)
+    for max_n in (2, 9):
+        for suite, walks in (("table", 19), ("decompositions", 14), ("lemmas", 3)):
+            calls = 0
+            assert all(report.passed for report in run_suite(suite, max_n))
+            assert calls == walks, (suite, max_n)
