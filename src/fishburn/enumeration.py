@@ -23,8 +23,9 @@ anchored matcher `occurs_ending_at` decides.
 
 A member is its tuple of values.  `search` visits the members in tree
 order: depth first by size, the sites of each member tried left to right,
-counting them at every size on its way.  `members` collects and sorts
-them, so member lists are lexicographic.
+counting them, and those with entry 1 first or second, at every size on
+its way.  `members` collects and sorts them, so member lists are
+lexicographic.
 Counts are exact arbitrary-precision integers.  Caps default to 14 for
 counting and 10 for materializing member lists; both are arguments, and
 they are the only length limits.
@@ -84,26 +85,28 @@ def search(
     visit: Callable[[tuple[int, ...]], None] | None,
     *,
     cap: int = DEFAULT_COUNT_CAP,
-) -> list[int]:
+) -> tuple[list[int], list[int], list[int]]:
     """Visit every member of the class exactly once, in generating-tree order.
 
     The tree is walked depth first, the children of a member (its new
     maximum inserted at each site, left to right) in turn, so members that
     share a parent are visited together; the order is not lexicographic.
     visit, when set, is passed each member's tuple of values.  Returns
-    sizes, one count per size 0..n: sizes[n] is the number of members, and
-    the tally in the loop says what the lower entries count.
+    (sizes, first, second), each one count per size 0..n: sizes[n] is the
+    number of members, first[n] and second[n] the number with entry 1 at
+    position 1 and at position 2, and the tally in the loop says what the
+    lower entries count.
     """
     n = query.n
     if n > cap:
         raise CapacityError(f"n={n} exceeds the cap of {cap}")
     target = query.one_position - 1 if query.one_position else -1  # index of entry 1
     if target >= n:
-        return [0] * (n + 1)
+        return [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     if n == 0:
         if visit is not None:
             visit(())
-        return [1]
+        return [1], [0], [0]
 
     # Deleting the maximum keeps the head's entries up to m in front, in
     # head order, so a member of size m qualifies only if it opens with
@@ -140,15 +143,25 @@ def search(
     # inverse inv (zero-based) and the index run where its final ascending
     # run starts.
     sizes = [0] * (n + 1)
+    first = [0] * (n + 1)
+    second = [0] * (n + 1)
+    splits = (first, second)
     stack = [(0, [], [], 0)]
     while stack:
         m, word, inv, run = stack.pop()
-        # Without a prefix, sizes[m] is the class count at m, or with
-        # one_position the count of members with entry 1 at the target:
-        # insertions never move entry 1 left, and the target pruning below
-        # cuts only nodes with entry 1 right of it.  With a prefix the lower
-        # entries do not count the query at m; callers read only sizes[n].
-        if target < 0 or m and inv[0] == target:
+        one = inv[0] if m else -1  # index of entry 1; the empty member has none
+        # Without a prefix, sizes[m] is the class count at m, and first[m]
+        # and second[m] split it by where entry 1 sits.  With one_position
+        # sizes[m] counts the members with entry 1 at the target, and the
+        # splits are filled from it after the walk: insertions never move
+        # entry 1 left, and the target pruning below cuts only nodes with
+        # entry 1 right of it.  With a prefix the lower entries do not count
+        # the query at m; callers read only index n.
+        if target < 0:
+            sizes[m] += 1
+            if 0 <= one < 2:
+                splits[one][m] += 1
+        elif one == target:
             sizes[m] += 1
         top = m + 1
         lo, hi = first_site[top], last_site[top]
@@ -160,7 +173,7 @@ def search(
         # Insertions only move entry 1 right, so once it sits at the target
         # index every site left of it is pruned.  At m = 0 the new maximum
         # is entry 1 itself, at index 0.
-        if target >= 0 and m and inv[0] == target and lo <= target:
+        if one == target and lo <= target:
             lo = target + 1
         if inverses:
             # Placing the new maximum at site s puts it, in the inverse, at
@@ -168,6 +181,7 @@ def search(
             # order-isomorphic to the inverse after insertion.
             probe = inv + [0]
         children = []
+        leaves = low = 0
         for s in range(lo, hi + 1):
             # Fishburn: the new maximum can only be the 3 of the 231, with
             # a = word[s-1] as the 2; it makes an occurrence iff a-1 lies
@@ -178,29 +192,54 @@ def search(
                     continue
             if inverses:
                 probe[m] = s - 0.5
-                if any(occurs_ending_at(probe, m, p) for p in inverses):
+                hit = False
+                for p in inverses:
+                    if occurs_ending_at(probe, m, p):
+                        hit = True
+                        break
+                if hit:
                     continue
             if top < n:
                 child = [p + (p >= s) for p in inv]
                 child.append(s)
                 children.append((top, word[:s] + [top] + word[s:], child, run if s == m else s + 1))
                 continue
-            if target >= 0 and m and inv[0] + (s <= inv[0]) != target:
+            if target >= 0 and m and one + (s <= one) != target:
                 continue
             if ban_value:
                 at = s if ban_value == top else inv[ban_value - 1] + (s <= inv[ban_value - 1])
                 if at == ban_index:
                     continue
-            sizes[n] += 1
+            leaves += 1
+            if s <= one:
+                low += 1
             if visit is not None:
                 visit((*word[:s], top, *word[s:]))
+        if leaves:
+            sizes[n] += leaves
+            # A leaf made at site s has entry 1 at one + (s <= one), so the
+            # low leaves (s <= one) moved it one place right.  At m = 0 the
+            # leaf is (1,).  A parent with one >= 2 gives leaves with entry 1
+            # at index 2 or later, in neither split, so it adds nothing here.
+            if m == 0:
+                first[n] += leaves
+            elif one == 0:
+                first[n] += leaves - low
+                second[n] += low
+            elif one == 1:
+                second[n] += leaves - low
         stack.extend(reversed(children))
-    return sizes
+    # Every member of a one_position query has entry 1 at the target.
+    if target == 0:
+        first, second = sizes[:], [0] * (n + 1)
+    elif target == 1:
+        first, second = [0] * (n + 1), sizes[:]
+    return sizes, first, second
 
 
 def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
     """Exact cardinality of the class described by the query."""
-    return search(query, None, cap=cap)[-1]
+    return search(query, None, cap=cap)[0][-1]
 
 
 def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> list[tuple[int, ...]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -97,16 +98,26 @@ DECOMPOSITION_CHECKS: tuple[SequenceRow, ...] = (
 )
 
 
+@lru_cache(maxsize=32)
+def _class_sizes(patterns: PatternSet, max_n: int) -> tuple[list[int], list[int], list[int]]:
+    """One walk of the class to max_n: (sizes, first, second) per size, the
+    class count and its members with entry 1 at position 1 and at position
+    2.  Every suite's rows share it; the keys come only from the claim
+    tables, so the memo stays small.  Callers only read the lists."""
+    return search(AvoidanceQuery(max_n, patterns), None, cap=max_n)
+
+
 def _verify_rows(
     kind: str, rows: Sequence[SequenceRow], first_n: int, max_n: int
 ) -> list[VerificationReport]:
-    """One walk to max_n and one report per row: its class sizes against its
-    closed form for first_n <= n <= max_n, asserted from valid_from on."""
+    """One report per row: its class sizes (or the split its one_position
+    names) against its closed form for first_n <= n <= max_n, asserted from
+    valid_from on.  Rows on one pattern set share one walk."""
     _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
     reports = []
     for row in rows:
-        query = AvoidanceQuery(max_n, row.patterns, one_position=row.one_position)
-        sizes = search(query, None, cap=max_n)
+        # Index 0 is the class count, 1 and 2 the position-of-1 splits.
+        sizes = _class_sizes(row.patterns, max_n)[row.one_position or 0]
         records = [
             _record(row.row_id, n, observed, evaluate_formula(row, n), n >= row.valid_from)
             for n, observed in enumerate(sizes[first_n:], first_n)
@@ -135,11 +146,7 @@ def verify_lemmas(max_n: int) -> VerificationReport:
     (as sorted member lists)."""
     _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
     records = []
-    base = PatternSet.parse("321", fishburn=True)
-    total, first, second = (
-        search(AvoidanceQuery(max_n, base, one_position=pos), None, cap=max_n)
-        for pos in (None, 1, 2)
-    )
+    total, first, second = _class_sizes(PatternSet.parse("321", fishburn=True), max_n)
     for n in range(1, max_n + 1):
         records.append(_record("one-in-first-two", n, first[n] + second[n], total[n], True))
     for sigma in REDUCTION_SIGMAS:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ascent
 import oracle
 from fishburn import enumeration
 from fishburn.enumeration import (
@@ -91,13 +92,44 @@ def test_one_beyond_first_two_positions_occurs_without_321():
 def test_search_visit_count_matches_count():
     q = AvoidanceQuery(6, _ps("321,14253"))
     seen = []
-    assert search(q, seen.append)[-1] == 48
+    assert search(q, seen.append)[0][-1] == 48
     assert len(seen) == count(q) == 48
-    assert search(AvoidanceQuery(5, _ps("321,31452")), None) == [1, 1, 2, 4, 9, 21]
+    assert search(AvoidanceQuery(5, _ps("321,31452")), None)[0] == [1, 1, 2, 4, 9, 21]
 
 
 def test_one_walk_counts_the_fishburn_numbers_at_every_size():
-    assert search(AvoidanceQuery(10, PatternSet(fishburn=True)), None) == list(fishburn_series(10))
+    sizes = search(AvoidanceQuery(10, PatternSet(fishburn=True)), None)[0]
+    assert sizes == list(fishburn_series(10))
+    # A count by ascent sequences shares no code with the kernel.
+    assert sizes == ascent.counts(10)
+
+
+@pytest.mark.parametrize("row", TABLE_ROWS, ids=lambda r: r.row_id)
+def test_one_walk_splits_every_size_by_the_position_of_one(row):
+    # One unpruned walk tallies, at every size, the members with entry 1 at
+    # position 1 and at position 2; the pruned one_position walks and the
+    # brute-force filter must agree with both splits.
+    _, first, second = search(AvoidanceQuery(9, row.patterns), None, cap=9)
+    for n in range(10):
+        assert first[n] == count(AvoidanceQuery(n, row.patterns, one_position=1)), n
+        assert second[n] == count(AvoidanceQuery(n, row.patterns, one_position=2)), n
+    bodies = [p.body.values for p in row.patterns.classical]
+    for n in range(8):
+        assert first[n] == oracle.count(n, bodies, fishburn=True, one_position=1), n
+        assert second[n] == oracle.count(n, bodies, fishburn=True, one_position=2), n
+
+
+def test_split_lists_of_the_empty_member_and_of_pruned_walks():
+    for ps in (PatternSet(), PatternSet(fishburn=True), _ps("321,1243")):
+        assert search(AvoidanceQuery(0, ps), None) == ([1], [0], [0])
+        assert search(AvoidanceQuery(1, ps), None) == ([1, 1], [0, 1], [0, 0])
+        # A one_position query's members all sit in its own split.
+        assert search(AvoidanceQuery(1, ps, one_position=1), None) == ([0, 1], [0, 1], [0, 0])
+        assert search(AvoidanceQuery(1, ps, one_position=2), None) == ([0, 0], [0, 0], [0, 0])
+    at_first, at_second, none = [0, 1, 1, 2, 3, 4], [0, 0, 1, 2, 5, 10], [0] * 6
+    ps = _ps("321,1243")
+    assert search(AvoidanceQuery(5, ps, one_position=1), None) == (at_first, at_first, none)
+    assert search(AvoidanceQuery(5, ps, one_position=2), None) == (at_second, none, at_second)
 
 
 def test_search_visit_order_is_pinned():
@@ -260,7 +292,7 @@ def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_positio
     assert members(q) == oracle.members(n, bodies, fishburn=fishburn, **filters)
     if not prefix:
         # Without a prefix one walk counts the query at every size up to n.
-        assert search(q, None) == [
+        assert search(q, None)[0] == [
             oracle.count(m, bodies, fishburn=fishburn, one_position=one_position)
             for m in range(n + 1)
         ]

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import ascent
 from fishburn.enumeration import AvoidanceQuery, CapacityError, count
 from fishburn.patterns import PatternSet
 from fishburn.sequences import (
@@ -31,6 +32,11 @@ def test_fibonacci_convention_and_values():
     assert fibonacci(10) == 89
     with pytest.raises(ValueError):
         fibonacci(-1)
+
+
+def test_ascent_sequences_count_the_fishburn_series():
+    # A third count, by ascent sequences, sharing no code with the series.
+    assert ascent.counts(64) == list(fishburn_series(64))
 
 
 def test_pell_values():

@@ -193,11 +193,36 @@ def test_all_suites_output_bytes_are_pinned():
     for max_n, digest in boundary.items():
         text = format_delimited(run_suite("all", max_n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, max_n
+    # The size the benchmark runs, the stdout digests of
+    # `python -m fishburn verify all --max-n 9 --format ...`.
+    reports = run_suite("all", 9)
+    digests = {
+        format_delimited: "5eed7b2d2841fc9dea899c6a52b4f455717d05c9954b4b77931f5ca91425854e",
+        format_plain: "e37a019c36284dd8652ed733d9f714343926977933f8bf21f299f21107d345c6",
+        format_structured: "8833ce5bdc71913f09f6442910a0cd5166869b8c4dc4ee0bb0c798f79e53212c",
+    }
+    for formatter, digest in digests.items():
+        assert hashlib.sha256(formatter(reports).encode()).hexdigest() == digest, formatter.__name__
+
+
+def test_suites_sharing_walks_do_not_depend_on_their_order():
+    # table and decompositions read the same memoised walks; whichever runs
+    # first, and whatever max_n ran before, each suite's bytes are the same.
+    def run(*suites):
+        verify._class_sizes.cache_clear()
+        return {(suite, max_n): format_delimited(run_suite(suite, max_n)) for suite, max_n in suites}
+
+    forward = run(("table", 9), ("decompositions", 9), ("table", 6), ("decompositions", 6))
+    backward = run(("decompositions", 6), ("table", 6), ("decompositions", 9), ("table", 9))
+    assert forward == backward
+    assert run(("table", 9)) == {("table", 9): forward[("table", 9)]}
 
 
 def test_verify_walks_the_tree_once_per_row(monkeypatch):
-    # One walk to max_n yields every smaller size, so the number of kernel
-    # walks does not grow with max_n.
+    # One walk to max_n yields every smaller size and both position-of-1
+    # splits, so the walks do not grow with max_n, and rows on one pattern
+    # set share one walk: the 14 decomposition rows use 11 sets, all of them
+    # table sets, and one-in-first-two walks the 321-Fishburn class once.
     calls = 0
     walk = verify.search
 
@@ -208,7 +233,8 @@ def test_verify_walks_the_tree_once_per_row(monkeypatch):
 
     monkeypatch.setattr(verify, "search", counted)
     for max_n in (2, 9):
-        for suite, walks in (("table", 19), ("decompositions", 14), ("lemmas", 3)):
+        for suite, walks in (("table", 19), ("decompositions", 11), ("lemmas", 1), ("all", 20)):
+            verify._class_sizes.cache_clear()
             calls = 0
             assert all(report.passed for report in run_suite(suite, max_n))
             assert calls == walks, (suite, max_n)
