@@ -152,17 +152,15 @@ def search(
         one = inv[0] if m else -1  # index of entry 1; the empty member has none
         # Without a prefix, sizes[m] is the class count at m, and first[m]
         # and second[m] split it by where entry 1 sits.  With one_position
-        # sizes[m] counts the members with entry 1 at the target, and the
-        # splits are filled from it after the walk: insertions never move
-        # entry 1 left, and the target pruning below cuts only nodes with
-        # entry 1 right of it.  With a prefix the lower entries do not count
-        # the query at m; callers read only index n.
-        if target < 0:
+        # sizes[m] counts the members with entry 1 at the target, and so
+        # does the split the target names, by the same rule: insertions
+        # never move entry 1 left, and the target pruning below cuts only
+        # nodes with entry 1 right of it.  With a prefix the lower entries
+        # do not count the query at m; callers read only index n.
+        if target < 0 or one == target:
             sizes[m] += 1
             if 0 <= one < 2:
                 splits[one][m] += 1
-        elif one == target:
-            sizes[m] += 1
         top = m + 1
         lo, hi = first_site[top], last_site[top]
         # 321: the new maximum can only be the 3, so it makes a 321 iff the
@@ -229,11 +227,6 @@ def search(
             elif one == 1:
                 second[n] += leaves - low
         stack.extend(reversed(children))
-    # Every member of a one_position query has entry 1 at the target.
-    if target == 0:
-        first, second = sizes[:], [0] * (n + 1)
-    elif target == 1:
-        first, second = [0] * (n + 1), sizes[:]
     return sizes, first, second
 
 

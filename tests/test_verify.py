@@ -5,10 +5,13 @@ import json
 
 import pytest
 
+import oracle
 from fishburn import verify
 from fishburn.enumeration import CapacityError
+from fishburn.patterns import PatternSet
 from fishburn.verify import (
     DECOMPOSITION_CHECKS,
+    REDUCTION_SIGMAS,
     CheckRecord,
     VerificationReport,
     format_delimited,
@@ -84,6 +87,38 @@ def test_verify_lemmas_small():
     }
     position = [r for r in report.records if r.row_id == "one-in-first-two" and r.n == 7]
     assert position[0].observed == position[0].expected
+
+
+def test_reduction_fails_when_only_the_intersection_count_differs(monkeypatch):
+    # |A| = |B| alone does not make A = B: a reduction record also needs
+    # |A∩B| equal to both, so one wrong intersection count fails it.
+    walk = verify._class_sizes
+    broken = PatternSet.parse("231,321,312", fishburn=True)
+
+    def skewed(patterns, max_n):
+        lists = walk(patterns, max_n)
+        if patterns != broken:
+            return lists
+        sizes = lists[0][:]
+        sizes[6] += 1
+        return (sizes, *lists[1:])
+
+    monkeypatch.setattr(verify, "_class_sizes", skewed)
+    report = verify_lemmas(7)
+    assert not report.passed
+    failed = [(r.row_id, r.n) for r in report.records if not r.matched]
+    assert failed == [("reduction-312", 6)]
+
+
+@pytest.mark.parametrize("sigma", REDUCTION_SIGMAS)
+def test_reduction_walks_match_the_brute_force_filter(sigma):
+    # The 231,321,sigma class and its Fishburn part, the B and A∩B of the
+    # reduction, against the literal definitions.
+    bodies = [(2, 3, 1), (3, 2, 1), tuple(map(int, sigma))]
+    for fishburn in (False, True):
+        patterns = PatternSet.parse(f"231,321,{sigma}", fishburn=fishburn)
+        sizes = verify._class_sizes(patterns, 7)[0]
+        assert sizes == [oracle.count(n, bodies, fishburn=fishburn) for n in range(8)], fishburn
 
 
 def test_verify_wilf_complement_small():
@@ -203,6 +238,10 @@ def test_all_suites_output_bytes_are_pinned():
     }
     for formatter, digest in digests.items():
         assert hashlib.sha256(formatter(reports).encode()).hexdigest() == digest, formatter.__name__
+    # The reductions past the size `all` runs at, where they read counts.
+    text = format_delimited(run_suite("lemmas", 12))
+    digest = "76b4606f37978c40037458d391b030baff7c521a0e3fdc1f7d027fb84f2d6848"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_suites_sharing_walks_do_not_depend_on_their_order():
@@ -223,6 +262,7 @@ def test_verify_walks_the_tree_once_per_row(monkeypatch):
     # splits, so the walks do not grow with max_n, and rows on one pattern
     # set share one walk: the 14 decomposition rows use 11 sets, all of them
     # table sets, and one-in-first-two walks the 321-Fishburn class once.
+    # Each reduction reads three classes, its Fishburn side a table set.
     calls = 0
     walk = verify.search
 
@@ -233,8 +273,10 @@ def test_verify_walks_the_tree_once_per_row(monkeypatch):
 
     monkeypatch.setattr(verify, "search", counted)
     for max_n in (2, 9):
-        for suite, walks in (("table", 19), ("decompositions", 11), ("lemmas", 1), ("all", 20)):
+        for suite, walks in (("table", 19), ("decompositions", 11), ("lemmas", 13), ("all", 28)):
             verify._class_sizes.cache_clear()
             calls = 0
             assert all(report.passed for report in run_suite(suite, max_n))
             assert calls == walks, (suite, max_n)
+        # Every key of one max_n fits the memo, so no walk is evicted.
+        assert verify._class_sizes.cache_info().currsize <= 32
