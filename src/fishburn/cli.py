@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=9,
-                          help="verify for lengths up to this bound (default 9)")
+                          help="verify for lengths up to this bound (default 9); at most 14, "
+                               "64 for identities, and a larger bound exits 3")
     p_verify.add_argument("--format", choices=sorted(_FORMATTERS), default="plain")
     p_verify.add_argument("-o", "--output", default=None)
     p_verify.set_defaults(func=cmd_verify)

@@ -22,10 +22,10 @@ pi's inverse ending at the last index of the child's inverse, which the
 anchored matcher `occurs_ending_at` decides.
 
 A member is its tuple of values.  `search` visits the members in tree
-order: depth first by size, the sites of each member tried left to right,
-counting them, and those with entry 1 first or second, at every size on
-its way.  `members` collects and sorts them, so member lists are
-lexicographic.
+order: depth first by size, the sites of each member tried left to right.
+It counts each member once, where its parent makes it, at its size and,
+when entry 1 is first or second, in that split too.  `members` collects
+and sorts them, so member lists are lexicographic.
 Counts are exact arbitrary-precision integers.  Caps default to 14 for
 counting and 10 for materializing member lists; both are arguments, and
 they are the only length limits.
@@ -94,19 +94,20 @@ def search(
     visit, when set, is passed each member's tuple of values.  Returns
     (sizes, first, second), each one count per size 0..n: sizes[n] is the
     number of members, first[n] and second[n] the number with entry 1 at
-    position 1 and at position 2, and the tally in the loop says what the
-    lower entries count.
+    position 1 and at position 2, and the comment at the tally after the
+    site loop says what the lower entries count.
     """
     n = query.n
     if n > cap:
         raise CapacityError(f"n={n} exceeds the cap of {cap}")
     target = query.one_position - 1 if query.one_position else -1  # index of entry 1
-    if target >= n:
-        return [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    sizes = [int(target < 0)] + [0] * n  # the root, the empty member, has no entry 1
+    first = [0] * (n + 1)
+    second = [0] * (n + 1)
     if n == 0:
-        if visit is not None:
+        if sizes[0] and visit is not None:
             visit(())
-        return [1], [0], [0]
+        return sizes, first, second
 
     # Deleting the maximum keeps the head's entries up to m in front, in
     # head order, so a member of size m qualifies only if it opens with
@@ -137,30 +138,16 @@ def search(
 
     # Members come off the stack in tree order (depth first, sites left to
     # right): a member's children all have one size, so they are either all
-    # leaves, emitted as they are met, or all inner members, pushed right to
-    # left so that the leftmost one's subtree is finished before its next
-    # sibling is popped.  Each entry is a member word of size m < n, its
-    # inverse inv (zero-based) and the index run where its final ascending
-    # run starts.
-    sizes = [0] * (n + 1)
-    first = [0] * (n + 1)
-    second = [0] * (n + 1)
+    # leaves, emitted as they are met left to right, or all inner members,
+    # made right to left and pushed as they are made, so that the leftmost
+    # one is popped first and its subtree finished before its next sibling.
+    # Each entry is a member word of size m < n, its inverse inv
+    # (zero-based) and the index run where its final ascending run starts.
     splits = (first, second)
     stack = [(0, [], [], 0)]
     while stack:
         m, word, inv, run = stack.pop()
         one = inv[0] if m else -1  # index of entry 1; the empty member has none
-        # Without a prefix, sizes[m] is the class count at m, and first[m]
-        # and second[m] split it by where entry 1 sits.  With one_position
-        # sizes[m] counts the members with entry 1 at the target, and so
-        # does the split the target names, by the same rule: insertions
-        # never move entry 1 left, and the target pruning below cuts only
-        # nodes with entry 1 right of it.  With a prefix the lower entries
-        # do not count the query at m; callers read only index n.
-        if target < 0 or one == target:
-            sizes[m] += 1
-            if 0 <= one < 2:
-                splits[one][m] += 1
         top = m + 1
         lo, hi = first_site[top], last_site[top]
         # 321: the new maximum can only be the 3, so it makes a 321 iff the
@@ -178,9 +165,8 @@ def search(
             # a value between the entries s-1 and s; s - 0.5 is
             # order-isomorphic to the inverse after insertion.
             probe = inv + [0]
-        children = []
-        leaves = low = 0
-        for s in range(lo, hi + 1):
+        kids = low = 0
+        for s in range(lo, hi + 1) if top == n else range(hi, lo - 1, -1):
             # Fishburn: the new maximum can only be the 3 of the 231, with
             # a = word[s-1] as the 2; it makes an occurrence iff a-1 lies
             # right of it.
@@ -200,33 +186,35 @@ def search(
             if top < n:
                 child = [p + (p >= s) for p in inv]
                 child.append(s)
-                children.append((top, word[:s] + [top] + word[s:], child, run if s == m else s + 1))
-                continue
-            if target >= 0 and m and one + (s <= one) != target:
-                continue
-            if ban_value:
-                at = s if ban_value == top else inv[ban_value - 1] + (s <= inv[ban_value - 1])
-                if at == ban_index:
+                stack.append((top, word[:s] + [top] + word[s:], child, run if s == m else s + 1))
+            else:
+                if target >= 0 and (one + (s <= one) if m else 0) != target:
                     continue
-            leaves += 1
+                if ban_value:
+                    at = s if ban_value == top else inv[ban_value - 1] + (s <= inv[ban_value - 1])
+                    if at == ban_index:
+                        continue
+                if visit is not None:
+                    visit((*word[:s], top, *word[s:]))
+            kids += 1
             if s <= one:
                 low += 1
-            if visit is not None:
-                visit((*word[:s], top, *word[s:]))
-        if leaves:
-            sizes[n] += leaves
-            # A leaf made at site s has entry 1 at one + (s <= one), so the
-            # low leaves (s <= one) moved it one place right.  At m = 0 the
-            # leaf is (1,).  A parent with one >= 2 gives leaves with entry 1
-            # at index 2 or later, in neither split, so it adds nothing here.
-            if m == 0:
-                first[n] += leaves
-            elif one == 0:
-                first[n] += leaves - low
-                second[n] += low
-            elif one == 1:
-                second[n] += leaves - low
-        stack.extend(reversed(children))
+        # Each member is counted once, here, where its parent makes it: a
+        # child made at site s has entry 1 at one + (s <= one), so the low
+        # children moved it one place right, and (1,), the only child of
+        # the empty member, has it at 0.  Without a prefix, sizes[m] is
+        # then the class count at m, and first[m] and second[m] split it by
+        # where entry 1 sits.  With one_position sizes[m] counts the
+        # members with entry 1 at the target, and so does the split the
+        # target names: insertions never move entry 1 left, and the target
+        # pruning above cuts only children with entry 1 right of it.  With
+        # a prefix the lower entries do not count the query at m; callers
+        # read only index n.
+        for j, c in ((one, kids - low), (one + 1, low)) if m else ((0, kids),):
+            if target < 0 or j == target:
+                sizes[top] += c
+                if j < 2:
+                    splits[j][top] += c
     return sizes, first, second
 
 

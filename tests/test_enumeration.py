@@ -216,6 +216,10 @@ def test_query_validation():
 
 def test_one_position_unsatisfiable_cases():
     assert count(AvoidanceQuery(0, PatternSet(), one_position=1)) == 0
+    seen = []
+    assert search(AvoidanceQuery(0, PatternSet(), one_position=1), seen.append) == ([0], [0], [0])
+    assert seen == []
+    assert members(AvoidanceQuery(0, PatternSet(), one_position=1)) == []
     assert count(AvoidanceQuery(1, PatternSet(), one_position=2)) == 0
     assert members(AvoidanceQuery(1, _ps("321"), one_position=2)) == []
     # position filter conflicting with a forced prefix
@@ -290,12 +294,15 @@ def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_positio
     q = AvoidanceQuery(n, ps, **filters)
     assert count(q) == oracle.count(n, bodies, fishburn=fishburn, **filters)
     assert members(q) == oracle.members(n, bodies, fishburn=fishburn, **filters)
-    if not prefix:
-        # Without a prefix one walk counts the query at every size up to n.
-        assert search(q, None)[0] == [
-            oracle.count(m, bodies, fishburn=fishburn, one_position=one_position)
-            for m in range(n + 1)
-        ]
+    # Without a prefix one walk counts the query, and splits it by where
+    # entry 1 sits, at every size up to n; with one, only index n counts it.
+    sizes, first, second = search(q, None)
+    for m in range(n + 1) if not prefix else [n]:
+        assert sizes[m] == oracle.count(m, bodies, fishburn=fishburn, **filters), m
+        for position, split in ((1, first), (2, second)):
+            at = dict(filters, one_position=position)
+            want = oracle.count(m, bodies, fishburn=fishburn, **at) if one_position in (None, position) else 0
+            assert split[m] == want, (m, position)
 
 
 @settings(deadline=None, max_examples=60)
