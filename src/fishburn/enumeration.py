@@ -12,14 +12,24 @@ generating trees; for the Fishburn condition this is the recursive
 construction of Bousquet-Melou, Claesson, Dukes and Kitaev).
 
 A child can only hold an occurrence that uses the new maximum: any other one
-is an occurrence in its parent.  So each site is tested for those alone.
-Classical patterns other than 321 use the inverse: inserting the maximum at
-site s of w appends the entry s+1 to the inverse of w (raising the entries
-above s by one), and pi occurs in a word iff the inverse of pi occurs in its
-inverse, the maximum of one becoming the last entry of the other.  An
-occurrence of pi that uses the new maximum is therefore an occurrence of
-pi's inverse ending at the last index of the child's inverse, which the
-anchored matcher `occurs_ending_at` decides.
+is an occurrence in its parent.  Classical patterns other than 321 use the
+inverse: inserting the maximum at site s of w appends the entry s+1 to the
+inverse of w (raising the entries above s by one), and pi occurs in a word
+iff the inverse of pi occurs in its inverse, the maximum of one becoming the
+last entry of the other.  An occurrence of pi that uses the new maximum is
+therefore an occurrence of pi's inverse ending at the last index of the
+child's inverse, which the anchored matcher `occurs_ending_at` decides.
+
+Each member carries the mask of its dead sites, those where such an
+occurrence appears, and does not test every site anew.  An occurrence that
+avoids the member's newest inverse entry is one in its parent with the
+values shifted, so a member inherits its parent's dead sites, the two
+beside its own maximum both from the site it was made at.  One that uses
+that entry has it next to last, so the member probes its open sites for a
+pattern only when the pattern's head, its inverse less the last entry,
+occurs ending there.  This is the active-site bookkeeping of generating
+trees (West; Marinov and Radoicic).  The 321 and Fishburn tests stay per
+site; each takes constant time.
 
 A member is its tuple of values.  `search` visits the members in tree
 order: depth first by size, the sites of each member tried left to right.
@@ -130,10 +140,18 @@ def search(
     fishburn = query.patterns.fishburn
     has_321 = any(p.body.values == _PATTERN_321 for p in query.patterns.classical)
     # The inverse of a pattern body lists its positions in order of value.
-    inverses = tuple(
-        ClassicalPattern(Permutation(tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))))
+    # Each is paired with its head, the inverse without its last entry,
+    # standardized; a size-1 pattern has none (it kills the root's only
+    # site, so no member of size 1 or more ever asks for one).
+    inverses = [
+        tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
         for w in (p.body.values for p in query.patterns.classical)
         if w != _PATTERN_321
+    ]
+    checks = tuple(
+        (ClassicalPattern(Permutation(b)),
+         ClassicalPattern(Permutation(tuple(v - (v > b[-1]) for v in b[:-1]))) if len(b) > 1 else None)
+        for b in inverses
     )
 
     # Members come off the stack in tree order (depth first, sites left to
@@ -142,11 +160,12 @@ def search(
     # made right to left and pushed as they are made, so that the leftmost
     # one is popped first and its subtree finished before its next sibling.
     # Each entry is a member word of size m < n, its inverse inv
-    # (zero-based) and the index run where its final ascending run starts.
+    # (zero-based), the index run where its final ascending run starts and
+    # its bit mask dead of sites killed by a classical pattern (below).
     splits = (first, second)
-    stack = [(0, [], [], 0)]
+    stack = [(0, [], [], 0, 0)]
     while stack:
-        m, word, inv, run = stack.pop()
+        m, word, inv, run, dead = stack.pop()
         one = inv[0] if m else -1  # index of entry 1; the empty member has none
         top = m + 1
         lo, hi = first_site[top], last_site[top]
@@ -160,11 +179,37 @@ def search(
         # is entry 1 itself, at index 0.
         if one == target and lo <= target:
             lo = target + 1
-        if inverses:
+        # dead has bit t set iff the new maximum at site t makes an
+        # occurrence of a classical pattern other than 321.  It is exact on
+        # every site the walk can still use, [run, m] under 321 and [0, m]
+        # otherwise.  It must not follow the prefix and target prunings of
+        # lo: those change from size to size, and the children reuse it.
+        # An occurrence at site t ends at the probe, index m of the probed
+        # inverse, and either avoids or uses the member's newest entry
+        # inv[m-1]:
+        # - One that avoids it is, with its values shifted, an occurrence in
+        #   the parent at its site t, or t - 1 if t lies right of the site s
+        #   this member was made at.  So the push below hands each child its
+        #   parent's mask with bit s doubled, and that part is exact.
+        # - One that uses it has inv[m-1] as its next-to-last entry, since
+        #   no index lies between, and without its last entry it is an
+        #   occurrence of the head ending at m - 1.  Only when the head
+        #   occurs there does the member probe, for that pattern, the sites
+        #   the mask leaves open.
+        # The root has no newest entry and probes its one site in full.
+        if checks:
             # Placing the new maximum at site s puts it, in the inverse, at
             # a value between the entries s-1 and s; s - 0.5 is
             # order-isomorphic to the inverse after insertion.
             probe = inv + [0]
+            for pattern, head in checks:
+                if m and not occurs_ending_at(inv, m - 1, head):
+                    continue
+                for s in range(run if has_321 else 0, m + 1):
+                    if not dead >> s & 1:
+                        probe[m] = s - 0.5
+                        if occurs_ending_at(probe, m, pattern):
+                            dead |= 1 << s
         kids = low = 0
         for s in range(lo, hi + 1) if top == n else range(hi, lo - 1, -1):
             # Fishburn: the new maximum can only be the 3 of the 231, with
@@ -174,19 +219,13 @@ def search(
                 a = word[s - 1]
                 if a >= 2 and inv[a - 2] >= s:
                     continue
-            if inverses:
-                probe[m] = s - 0.5
-                hit = False
-                for p in inverses:
-                    if occurs_ending_at(probe, m, p):
-                        hit = True
-                        break
-                if hit:
-                    continue
+            if dead and dead >> s & 1:
+                continue
             if top < n:
                 child = [p + (p >= s) for p in inv]
                 child.append(s)
-                stack.append((top, word[:s] + [top] + word[s:], child, run if s == m else s + 1))
+                stack.append((top, word[:s] + [top] + word[s:], child, run if s == m else s + 1,
+                              dead and (dead & ((2 << s) - 1)) | ((dead >> s) << (s + 1))))
             else:
                 if target >= 0 and (one + (s <= one) if m else 0) != target:
                     continue

@@ -4,7 +4,9 @@ A classical pattern occurs in a word when some subsequence is
 order-isomorphic to it.  The search kernel decides membership one inserted
 maximum at a time, and only needs occurrences that use the new entry: it
 asks `occurs_ending_at` about the child's inverse word, anchored at its last
-index (see the docstring of `fishburn.enumeration`).  The Fishburn pattern
+index, and about the member's own inverse with a pattern's head, to learn
+whether any child needs that question (see the docstring of
+`fishburn.enumeration`).  The Fishburn pattern
 needs no matcher there; the kernel tests it in constant time per site.
 """
 
@@ -92,8 +94,13 @@ def occurs_ending_at(word: Sequence[float], last: int, pattern: ClassicalPattern
     index `last`, with the inverse of a forbidden pattern pi: inserting the
     new maximum into a member appends an entry to its inverse, so an
     occurrence ending there is exactly an occurrence of pi in the child
-    that uses the new maximum.  word may hold any distinct numbers (the
-    kernel passes a rearrangement of 0..last-1 followed by a half-integer
+    that uses the new maximum.  It also calls it on a member's own inverse,
+    anchored at its final index, with the head of pi's inverse (its last
+    entry dropped, the rest standardized): only when the head occurs there
+    can a child of the member hold an occurrence of pi that the dead sites
+    inherited from the member's parent do not already rule out.  word may
+    hold any distinct numbers (the kernel passes a member's inverse, a
+    rearrangement of 0..m-1, or that inverse followed by a half-integer
     probe); only their relative order matters.
     """
     body = pattern.body.values

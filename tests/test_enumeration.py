@@ -305,6 +305,60 @@ def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_positio
             assert split[m] == want, (m, position)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(0, 7),
+    st.lists(st.sampled_from(["31452", "41523", "2413", "21354", "1243"]), unique=True, min_size=1, max_size=2),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, 1, 2]),
+    st.data(),
+)
+def test_inherited_dead_sites_match_oracle_at_every_size(n, texts, with_321, fishburn, one_position, data):
+    # Each member inherits its parent's dead sites and probes only when its
+    # newest inverse entry can join a new occurrence; a mask that loses or
+    # mis-shifts a site shows only a few levels down, so the walk goes to
+    # n = 7 with patterns of size 4 and 5.
+    texts = ["321", *texts] if with_321 else texts
+    ps = PatternSet(tuple(parse_pattern(t) for t in texts), fishburn)
+    bodies = [tuple(int(c) for c in t) for t in texts]
+    prefix = tuple(data.draw(st.lists(st.integers(1, n), unique=True, max_size=n))) if n else ()
+    prefix_negation = bool(prefix) and data.draw(st.booleans())
+    filters = dict(one_position=one_position, prefix=prefix, prefix_negation=prefix_negation)
+    sizes = search(AvoidanceQuery(n, ps, **filters), None, cap=n)[0]
+    for m in range(n + 1) if not prefix else [n]:
+        assert sizes[m] == oracle.count(m, bodies, fishburn=fishburn, **filters), m
+
+
+def test_dead_sites_a_prefix_skips_at_one_size_reach_the_next():
+    # Under the prefix (2, 4, 1) the maximum 3 has one site in (2, 1), the
+    # last, and 4 must go at site 1 of (2, 1, 3), where it makes the 231
+    # 2, 4, 1.  That occurrence avoids 3, so (2, 1, 3) only inherits the
+    # dead site: its parent must mark site 1 although its own walk skips it.
+    q = AvoidanceQuery(4, PatternSet.parse("231"), prefix=(2, 4, 1))
+    assert count(q) == oracle.count(4, [(2, 3, 1)], prefix=(2, 4, 1)) == 0
+    q = AvoidanceQuery(6, PatternSet.parse("41523"), prefix=(4, 1, 6, 2))
+    assert count(q) == oracle.count(6, [(4, 1, 5, 2, 3)], prefix=(4, 1, 6, 2)) == 0
+
+
+def test_a_class_with_one_member_per_size_costs_linear_checks(monkeypatch):
+    # Av(12) holds only the decreasing permutation: each member inherits all
+    # its dead sites but the two beside the new maximum, so the walk makes a
+    # bounded number of anchored checks per size, not one per site.
+    calls = 0
+    matcher = enumeration.occurs_ending_at
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return matcher(*args)
+
+    monkeypatch.setattr(enumeration, "occurs_ending_at", counted)
+    n = 200
+    assert count(AvoidanceQuery(n, PatternSet.parse("12")), cap=n) == 1
+    assert 0 < calls <= 4 * n + 4
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 6), st.data())
 def test_pruning_soundness_occurrences_survive_completion(n, data):

@@ -49,8 +49,23 @@ MUTANTS = [
      "if target >= 0 and (one + (s <= one) if m else 0) != target:",
      "if False:"),
     ("pattern not inverted",
-     "ClassicalPattern(Permutation(tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))))",
-     "ClassicalPattern(Permutation(w))"),
+     "tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))",
+     "w"),
+    ("head not standardized",
+     "tuple(v - (v > b[-1]) for v in b[:-1])",
+     "b[:-1]"),
+    ("head drops the first entry",
+     "tuple(v - (v > b[-1]) for v in b[:-1])",
+     "tuple(v - (v > b[0]) for v in b[1:])"),
+    ("root never tested",
+     "if m and not occurs_ending_at(inv, m - 1, head):",
+     "if not m or not occurs_ending_at(inv, m - 1, head):"),
+    ("fresh range from lo",
+     "range(run if has_321 else 0, m + 1)",
+     "range(lo, m + 1)"),
+    ("dead mask mis-shifted",
+     "((dead >> s) << (s + 1))",
+     "((dead >> s) << s)"),
     ("wrong run update",
      "run if s == m else s + 1",
      "run if s == m else s"),
