@@ -8,12 +8,18 @@ index, and about the member's own inverse with a pattern's head, to learn
 whether any child needs that question (see the docstring of
 `fishburn.enumeration`).  The Fishburn pattern
 needs no matcher there; the kernel tests it in constant time per site.
+
+Each pattern body gets its own matcher, compiled from generated source into
+nested `for` loops the first time the body is matched, never at import or
+parse, and kept in a bounded cache.  The source holds only integers and
+names derived from a validated body; no user text reaches `exec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from fishburn.perm import ParseError, Permutation, parse_values
 
@@ -25,29 +31,10 @@ class ClassicalPattern:
     """A pattern matched by order-isomorphic subsequences, no adjacency."""
 
     body: Permutation
-    # For each pattern index j, the index (< j) holding the nearest smaller /
-    # nearest larger pattern value.  A candidate for slot j only needs
-    # comparing against these two chosen entries: the already-matched prefix
-    # is order-isomorphic to the pattern prefix, so the nearest neighbours
-    # bound the candidate against every earlier choice.
-    _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _above: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = len(self.body)
-        if not 1 <= k <= MAX_PATTERN_SIZE:
-            raise ValueError(f"pattern size must be 1..{MAX_PATTERN_SIZE}, got {k}")
-        vals = self.body.values
-        below, above = [], []
-        for j in range(k):
-            lo = max((m for m in range(j) if vals[m] < vals[j]),
-                     key=lambda m: vals[m], default=-1)
-            hi = min((m for m in range(j) if vals[m] > vals[j]),
-                     key=lambda m: vals[m], default=-1)
-            below.append(lo)
-            above.append(hi)
-        object.__setattr__(self, "_below", tuple(below))
-        object.__setattr__(self, "_above", tuple(above))
+        if not 1 <= len(self.body) <= MAX_PATTERN_SIZE:
+            raise ValueError(f"pattern size must be 1..{MAX_PATTERN_SIZE}, got {len(self.body)}")
 
     def __len__(self) -> int:
         return len(self.body)
@@ -102,36 +89,47 @@ def occurs_ending_at(word: Sequence[float], last: int, pattern: ClassicalPattern
     hold any distinct numbers (the kernel passes a member's inverse, a
     rearrangement of 0..m-1, or that inverse followed by a half-integer
     probe); only their relative order matters.
+
+    The question is answered by the pattern body's own matcher: straight
+    nested loops, generated and compiled by `_matcher` on the first call
+    with that body and cached.  The generated source depends only on the
+    order of the validated body's values, so no caller text is executed.
     """
-    body = pattern.body.values
-    below, above = pattern._below, pattern._above
+    return _matcher(pattern.body.values)(word, last)
+
+
+@lru_cache(maxsize=128)  # `verify all` matches 20 bodies
+def _matcher(body: tuple[int, ...]) -> Callable[[Sequence[float], int], bool]:
+    """Compile the anchored matcher of one pattern body into nested loops.
+
+    The last slot of the body is the anchor, word[last].  Slot j = 0..k-2
+    gets one `for` loop over the indices after slot j-1's that leave room
+    for the slots still to come.  The values already chosen, the anchor's
+    and those of slots 0..j-1, form a prefix order-isomorphic to the body's,
+    so a candidate for slot j fits iff it lies above the nearest smaller
+    and below the nearest larger of them: each loop makes at most two
+    comparisons, and the innermost one that succeeds has found an
+    occurrence.  A size-1 body matches at every index.
+
+    A body is compiled on first use, never at import or parse, and at most
+    128 bodies are kept.  Executing generated source is safe here: `body`
+    is the values of a validated Permutation, and the source holds only
+    fixed names and integers computed from the order of those values; no
+    text from the caller reaches `exec`.
+    """
     k = len(body)
-    if k - 1 > last:
-        return False
-    v_last = word[last]
-    if k == 1:
-        return True
-    r_last = body[k - 1]
-    chosen = [0] * k
-    chosen[k - 1] = v_last
-
-    def extend(j: int, start: int) -> bool:
-        lo_i, hi_i = below[j], above[j]
-        want_lt = body[j] < r_last
-        stop = last - (k - 2 - j)
-        final = j == k - 2
-        for i in range(start, stop):
-            v = word[i]
-            if (v < v_last) != want_lt:
-                continue
-            if lo_i >= 0 and chosen[lo_i] >= v:
-                continue
-            if hi_i >= 0 and chosen[hi_i] <= v:
-                continue
-            chosen[j] = v
-            if final or extend(j + 1, i + 1):
-                return True
-        return False
-
-    return extend(0, 0)
-
+    lines = ["def match(w, last):", " a = w[last]"]
+    for j in range(k - 1):
+        fixed = [(body[-1], "a")] + [(body[i], f"v{i}") for i in range(j)]
+        lo = max((f for f in fixed if f[0] < body[j]), default=None)
+        hi = min((f for f in fixed if f[0] > body[j]), default=None)
+        test = " < ".join(([lo[1]] if lo else []) + [f"v{j}"] + ([hi[1]] if hi else []))
+        pad = " " * (2 * j + 1)
+        start = f"i{j - 1} + 1" if j else "0"
+        lines += [f"{pad}for i{j} in range({start}, last - {k - 2 - j}):",
+                  f"{pad} v{j} = w[i{j}]",
+                  f"{pad} if {test}:"]
+    lines += [" " * (2 * k - 1) + "return True", " return False"]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["match"]

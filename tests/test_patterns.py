@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
 from fishburn.enumeration import AvoidanceQuery, members
-from fishburn.patterns import ClassicalPattern, PatternSet, occurs_ending_at, parse_pattern
+from fishburn.patterns import (
+    MAX_PATTERN_SIZE,
+    ClassicalPattern,
+    PatternSet,
+    occurs_ending_at,
+    parse_pattern,
+)
 from fishburn.perm import ParseError, Permutation, complement
 
 perms = st.integers(0, 7).flatmap(
@@ -90,13 +99,15 @@ def _ends_at(word, m, body):
 
 
 def test_anchored_matcher_matches_definition():
-    # occurs_ending_at(word, m, pat) must agree with "some occurrence uses m last"
+    # occurs_ending_at(word, m, pat) must agree with "some occurrence uses m
+    # last".  Each body compiles to its own nested loops, so every pattern
+    # of sizes 1-4 is checked.
+    pats = _all_patterns_up_to(4)
     for n in range(1, 7):
         for w in permutations(range(1, n + 1)):
-            for text in ("21", "231", "321", "1423"):
-                pat = parse_pattern(text)
+            for pat in pats:
                 for m in range(n):
-                    assert occurs_ending_at(w, m, pat) == _ends_at(w, m, pat.body.values)
+                    assert occurs_ending_at(w, m, pat) == _ends_at(w, m, pat.body.values), (w, m, pat)
 
 
 @given(st.integers(0, 7), st.data(), pattern_texts)
@@ -108,6 +119,52 @@ def test_matcher_handles_arbitrary_distinct_values(m, data, text):
     word = (*inverse, s - 0.5)
     pat = parse_pattern(text)
     assert occurs_ending_at(word, m, pat) == _ends_at(word, m, pat.body.values)
+
+
+def _standardize(values):
+    return tuple(sorted(values).index(v) + 1 for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(5, MAX_PATTERN_SIZE), st.integers(4, 11), st.booleans(), st.data())
+def test_matcher_matches_definition_for_long_patterns(k, m, planted, data):
+    # Long bodies nest deepest; MAX_PATTERN_SIZE gives k - 1 = 8 loops.  The
+    # word is a shuffled inverse followed by a half-integer probe, as the
+    # kernel passes it.  A planted pattern is read off the word itself, so
+    # about half the draws have an occurrence ending at the probe.
+    inverse = data.draw(st.permutations(list(range(m))))
+    word = (*inverse, data.draw(st.integers(0, m)) - 0.5)
+    if planted and k - 1 <= m:
+        idx = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+        body = _standardize([word[i] for i in (*idx, m)])
+    else:
+        body = tuple(data.draw(st.permutations(list(range(1, k + 1)))))
+    pat = ClassicalPattern(Permutation(body))
+    assert occurs_ending_at(word, m, pat) == _ends_at(word, m, body)
+
+
+def test_matchers_compile_on_first_use_into_a_bounded_cache():
+    # Start-up compiles nothing: importing the package and parsing every
+    # claim's pattern text leave the cache empty.  The whole verify run
+    # compiles one matcher per distinct body it checks, and stays below
+    # the cache bound.
+    script = textwrap.dedent("""
+        import fishburn
+        from fishburn import patterns
+        from fishburn.verify import run_suite
+
+        for row in fishburn.TABLE_ROWS:
+            fishburn.PatternSet.parse(row.row_id.split(":")[0], fishburn=True)
+        before = patterns._matcher.cache_info()
+        run_suite("all", 9)
+        after = patterns._matcher.cache_info()
+        print(before.currsize, after.currsize, after.maxsize)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after, maxsize = map(int, proc.stdout.split())
+    assert (before, after) == (0, 20)
+    assert after < maxsize
 
 
 @pytest.mark.parametrize("sigma", ["132", "213", "312", "3142"])
