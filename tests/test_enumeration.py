@@ -253,6 +253,29 @@ def test_search_depth_does_not_depend_on_the_caller_stack():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1\n", "")
 
 
+def test_package_root_loads_only_the_kernel():
+    # The root exports the kernel API, and importing it loads the kernel's
+    # modules only: the closed forms and the suites are imported from their
+    # own modules when wanted.
+    script = textwrap.dedent("""
+        import sys
+
+        import fishburn
+
+        print(" ".join(sorted(fishburn.__all__)))
+        print(all(hasattr(fishburn, name) for name in fishburn.__all__))
+        print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "fishburn")))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names, resolved, loaded = proc.stdout.splitlines()
+    assert names.split() == sorted([
+        "AvoidanceQuery", "CapacityError", "ParseError", "PatternSet", "count", "members", "__version__",
+    ])
+    assert resolved == "True"
+    assert loaded.split() == ["fishburn", "fishburn.enumeration", "fishburn.patterns", "fishburn.perm"]
+
+
 def test_results_are_deterministic_across_runs():
     q = AvoidanceQuery(7, _ps("321,31524"))
     assert members(q) == members(q)

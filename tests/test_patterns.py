@@ -151,9 +151,10 @@ def test_matchers_compile_on_first_use_into_a_bounded_cache():
     script = textwrap.dedent("""
         import fishburn
         from fishburn import patterns
+        from fishburn.sequences import TABLE_ROWS
         from fishburn.verify import run_suite
 
-        for row in fishburn.TABLE_ROWS:
+        for row in TABLE_ROWS:
             fishburn.PatternSet.parse(row.row_id.split(":")[0], fishburn=True)
         before = patterns._matcher.cache_info()
         run_suite("all", 9)

@@ -3,10 +3,10 @@
 Each mutant is one edit to a file of the kernel, the search in
 src/fishburn/enumeration.py or the anchored matcher it calls in
 src/fishburn/patterns.py: the file, a text that must occur there exactly
-once, and the text put in its place.  For each mutant the
-tool copies the parts of the checkout the tests read (src, tests, perfbench
-and pyproject.toml) to a temporary directory, applies the edit to the copy
-and runs the Tier-1 command there:
+once, and the text put in its place.  For each mutant the tool copies the
+parts of the checkout the tests read (src, tests, perfbench, pyproject.toml
+and README.md) to a temporary directory, applies the edit to the copy and
+runs the Tier-1 command there:
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
@@ -38,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEARCH = Path("src/fishburn/enumeration.py")
 MATCHER = Path("src/fishburn/patterns.py")
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 TIMEOUT_S = 600
 MEMORY_BYTES = 1 << 30
 
