@@ -24,7 +24,7 @@ from fishburn.enumeration import (
 )
 from fishburn.patterns import PatternSet
 from fishburn.perm import ParseError, parse_values, values_format
-from fishburn.sequences import fishburn_series
+from fishburn.sequences import SERIES_CAP, fishburn_series
 from fishburn.verify import SUITES, format_delimited, format_plain, format_structured, run_suite
 
 EXIT_OK = 0
@@ -144,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=9,
-                          help="verify for lengths up to this bound (default 9); at most 14, "
-                               "64 for identities, and a larger bound exits 3")
+                          help="verify for lengths up to this bound (default 9); at most "
+                               f"{DEFAULT_COUNT_CAP}, {SERIES_CAP} for identities, and a larger bound exits 3")
     p_verify.add_argument("--format", choices=sorted(_FORMATTERS), default="plain")
     p_verify.add_argument("-o", "--output", default=None)
     p_verify.set_defaults(func=cmd_verify)

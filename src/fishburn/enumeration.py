@@ -20,16 +20,19 @@ last entry of the other.  An occurrence of pi that uses the new maximum is
 therefore an occurrence of pi's inverse ending at the last index of the
 child's inverse, which the anchored matcher `occurs_ending_at` decides.
 
-Each member carries the mask of its dead sites, those where such an
-occurrence appears, and does not test every site anew.  An occurrence that
-avoids the member's newest inverse entry is one in its parent with the
-values shifted, so a member inherits its parent's dead sites, the two
-beside its own maximum both from the site it was made at.  One that uses
-that entry has it next to last, so the member probes its open sites for a
-pattern only when the pattern's head, its inverse less the last entry,
-occurs ending there.  This is the active-site bookkeeping of generating
-trees (West; Marinov and Radoicic).  The 321 and Fishburn tests stay per
-site; each takes constant time.
+Each member carries the mask of its dead sites, those where the new maximum
+makes an occurrence of any avoided pattern, and does not test every site
+anew.  Inserting a larger value never changes the relative order of the
+values already placed, so a member inherits its parent's dead sites, the
+two beside its own maximum both from the site it was made at.  Its own
+maximum adds the rest where the member is made: for 321 it kills every
+site left of it when an entry follows it, and for Fishburn the site right
+of it when the old maximum lies further right.  For the other classical
+patterns an occurrence that uses the newest inverse entry has it next to
+last, so the member probes its open sites for a pattern only when the
+pattern's head, its inverse less the last entry, occurs ending there.
+This is the active-site bookkeeping of generating trees (West; Marinov and
+Radoicic).
 
 A member is its tuple of values.  `search` visits the members in tree
 order: depth first by size, the sites of each member tried left to right.
@@ -160,43 +163,35 @@ def search(
     # made right to left and pushed as they are made, so that the leftmost
     # one is popped first and its subtree finished before its next sibling.
     # Each entry is a member word of size m < n, its inverse inv
-    # (zero-based), the index run where its final ascending run starts and
-    # its bit mask dead of sites killed by a classical pattern (below).
+    # (zero-based) and its bit mask dead of killed sites (below).
     splits = (first, second)
-    stack = [(0, [], [], 0, 0)]
+    stack = [(0, [], [], 0)]
     while stack:
-        m, word, inv, run, dead = stack.pop()
+        m, word, inv, dead = stack.pop()
         one = inv[0] if m else -1  # index of entry 1; the empty member has none
         top = m + 1
         lo, hi = first_site[top], last_site[top]
-        # 321: the new maximum can only be the 3, so it makes a 321 iff the
-        # entries right of its site hold a descent, i.e. iff the site lies
-        # left of the final ascending run.
-        if has_321 and run > lo:
-            lo = run
         # Insertions only move entry 1 right, so once it sits at the target
         # index every site left of it is pruned.  At m = 0 the new maximum
         # is entry 1 itself, at index 0.
         if one == target and lo <= target:
             lo = target + 1
         # dead has bit t set iff the new maximum at site t makes an
-        # occurrence of a classical pattern other than 321.  It is exact on
-        # every site the walk can still use, [run, m] under 321 and [0, m]
-        # otherwise.  It must not follow the prefix and target prunings of
-        # lo: those change from size to size, and the children reuse it.
-        # An occurrence at site t ends at the probe, index m of the probed
-        # inverse, and either avoids or uses the member's newest entry
-        # inv[m-1]:
-        # - One that avoids it is, with its values shifted, an occurrence in
-        #   the parent at its site t, or t - 1 if t lies right of the site s
-        #   this member was made at.  So the push below hands each child its
-        #   parent's mask with bit s doubled, and that part is exact.
-        # - One that uses it has inv[m-1] as its next-to-last entry, since
-        #   no index lies between, and without its last entry it is an
-        #   occurrence of the head ending at m - 1.  Only when the head
-        #   occurs there does the member probe, for that pattern, the sites
-        #   the mask leaves open.
-        # The root has no newest entry and probes its one site in full.
+        # occurrence of an avoided pattern; it is exact on [0, m].  It must
+        # not follow the prefix and target prunings of lo: those change from
+        # size to size, and the children reuse it.  Inserting a larger value
+        # keeps the order of the others, so an occurrence that avoids this
+        # member's maximum is, with its values shifted, one in the parent at
+        # its site t, or t - 1 if t lies right of the site s this member was
+        # made at; the push below hands each child its parent's mask with
+        # bit s doubled, and adds the Fishburn and 321 bits of its maximum.
+        # For any other classical pattern, an occurrence that uses that
+        # maximum ends at the probe, index m of the probed inverse, with the
+        # newest entry inv[m-1] next to last, since no index lies between;
+        # without its last entry it is an occurrence of the head ending at
+        # m - 1.  Only when the head occurs there does the member probe, for
+        # that pattern, the sites the mask leaves open.  The root has no
+        # newest entry and probes its one site in full.
         if checks:
             # Placing the new maximum at site s puts it, in the inverse, at
             # a value between the entries s-1 and s; s - 0.5 is
@@ -205,27 +200,33 @@ def search(
             for pattern, head in checks:
                 if m and not occurs_ending_at(inv, m - 1, head):
                     continue
-                for s in range(run if has_321 else 0, m + 1):
+                for s in range(m + 1):
                     if not dead >> s & 1:
                         probe[m] = s - 0.5
                         if occurs_ending_at(probe, m, pattern):
                             dead |= 1 << s
         kids = low = 0
         for s in range(lo, hi + 1) if top == n else range(hi, lo - 1, -1):
-            # Fishburn: the new maximum can only be the 3 of the 231, with
-            # a = word[s-1] as the 2; it makes an occurrence iff a-1 lies
-            # right of it.
-            if fishburn and s:
-                a = word[s - 1]
-                if a >= 2 and inv[a - 2] >= s:
-                    continue
-            if dead and dead >> s & 1:
+            if dead >> s & 1:
                 continue
             if top < n:
                 child = [p + (p >= s) for p in inv]
                 child.append(s)
-                stack.append((top, word[:s] + [top] + word[s:], child, run if s == m else s + 1,
-                              dead and (dead & ((2 << s) - 1)) | ((dead >> s) << (s + 1))))
+                mask = (dead & ((2 << s) - 1)) | ((dead >> s) << (s + 1))
+                # 321: the new maximum can only be the 3, so a site is dead
+                # iff a descent lies right of it.  Made left of the end, the
+                # child has the descent (top, word[s]), right of its sites
+                # 0..s; made at the end, it adds no descent.
+                if has_321 and s < m:
+                    mask |= (2 << s) - 1
+                # Fishburn: the new maximum can only be the 3 of the 231,
+                # with the entry a left of it as the 2, and it makes an
+                # occurrence iff a-1 lies right of it.  Only the child's
+                # site s + 1 gets a new left entry, top, so it is dead iff
+                # m, the old maximum, lies right of top.
+                if fishburn and m and inv[m - 1] >= s:
+                    mask |= 2 << s
+                stack.append((top, word[:s] + [top] + word[s:], child, mask))
             else:
                 if target >= 0 and (one + (s <= one) if m else 0) != target:
                     continue

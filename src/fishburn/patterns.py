@@ -7,7 +7,8 @@ asks `occurs_ending_at` about the child's inverse word, anchored at its last
 index, and about the member's own inverse with a pattern's head, to learn
 whether any child needs that question (see the docstring of
 `fishburn.enumeration`).  The Fishburn pattern
-needs no matcher there; the kernel tests it in constant time per site.
+and 321 need no matcher there; the kernel sets their dead sites where it
+makes a member.
 
 Each pattern body gets its own matcher, compiled from generated source into
 nested `for` loops the first time the body is matched, never at import or
@@ -35,9 +36,6 @@ class ClassicalPattern:
     def __post_init__(self):
         if not 1 <= len(self.body) <= MAX_PATTERN_SIZE:
             raise ValueError(f"pattern size must be 1..{MAX_PATTERN_SIZE}, got {len(self.body)}")
-
-    def __len__(self) -> int:
-        return len(self.body)
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,13 @@ def test_verify_capacity_exit(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("suite", ["table", "wilf", "identities", "all"])
+def test_verify_negative_max_n_is_a_usage_error(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--max-n", "-1")
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+
+
 def test_count_one_pos_output_file(tmp_path, capsys):
     target = tmp_path / "count.txt"
     code, out, _ = run_cli(

@@ -382,6 +382,37 @@ def test_a_class_with_one_member_per_size_costs_linear_checks(monkeypatch):
     assert 0 < calls <= 4 * n + 4
 
 
+@pytest.mark.parametrize("text", ["321,31452", "321,1243", "2413,41523"])
+def test_no_anchored_check_at_a_dead_site(monkeypatch, text):
+    # A probe is an anchored call whose last entry is a half-integer: the
+    # member's inverse followed by site - 0.5.  The dead-site mask holds the
+    # Fishburn and 321 kills, so no site either one kills is ever probed.
+    probes = []
+    matcher = enumeration.occurs_ending_at
+
+    def spy(word, last, pattern):
+        if word[last] % 1:
+            probes.append((tuple(word[:last]), int(word[last] + 0.5)))
+        return matcher(word, last, pattern)
+
+    monkeypatch.setattr(enumeration, "occurs_ending_at", spy)
+    count(AvoidanceQuery(9, _ps(text)))
+    assert probes
+    has_321 = text.startswith("321,")
+    for inv, s in probes:
+        member = [0] * len(inv)
+        for v, i in enumerate(inv, 1):
+            member[i] = v
+        if s:
+            a = member[s - 1]
+            assert not (a >= 2 and inv[a - 2] >= s), (member, s)
+        if has_321:
+            run = len(member) - 1
+            while run > 0 and member[run - 1] < member[run]:
+                run -= 1
+            assert s >= run, (member, s)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 6), st.data())
 def test_pruning_soundness_occurrences_survive_completion(n, data):

@@ -47,9 +47,12 @@ MUTANTS = [
     ("no negation ban", SEARCH,
      "ban_value = prefix[-1] if query.prefix_negation else 0",
      "ban_value = 0"),
-    ("Fishburn off by one", SEARCH,
-     "if a >= 2 and inv[a - 2] >= s:",
-     "if a >= 2 and inv[a - 2] > s:"),
+    ("Fishburn bit off by one", SEARCH,
+     "if fishburn and m and inv[m - 1] >= s:",
+     "if fishburn and m and inv[m - 1] > s:"),
+    ("Fishburn bit on the left flank", SEARCH,
+     "mask |= 2 << s",
+     "mask |= 1 << s"),
     ("loose prefix sites", SEARCH,
      "first_site[v] = last_site[v] = sum(1 for u in ahead if u < v)",
      "first_site[v] = sum(1 for u in ahead if u < v)"),
@@ -68,15 +71,18 @@ MUTANTS = [
     ("root never tested", SEARCH,
      "if m and not occurs_ending_at(inv, m - 1, head):",
      "if not m or not occurs_ending_at(inv, m - 1, head):"),
-    ("fresh range from lo", SEARCH,
-     "range(run if has_321 else 0, m + 1)",
-     "range(lo, m + 1)"),
+    ("probe loop from lo", SEARCH,
+     "for s in range(m + 1):",
+     "for s in range(lo, m + 1):"),
     ("dead mask mis-shifted", SEARCH,
      "((dead >> s) << (s + 1))",
      "((dead >> s) << s)"),
-    ("wrong run update", SEARCH,
-     "run if s == m else s + 1",
-     "run if s == m else s"),
+    ("321 bits one short", SEARCH,
+     "mask |= (2 << s) - 1",
+     "mask |= (1 << s) - 1"),
+    ("321 bits also on append", SEARCH,
+     "if has_321 and s < m:",
+     "if has_321 and s <= m:"),
     ("wrong probe side", SEARCH,
      "probe[m] = s - 0.5",
      "probe[m] = s + 0.5"),
