@@ -46,11 +46,10 @@ they are the only length limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from fishburn.patterns import ClassicalPattern, PatternSet, occurs_ending_at
-from fishburn.perm import Permutation
+from fishburn.perm import Permutation, _Record
 
 DEFAULT_COUNT_CAP = 14
 DEFAULT_LIST_CAP = 10
@@ -62,8 +61,7 @@ class CapacityError(ValueError):
     """Raised when a query exceeds the configured length cap."""
 
 
-@dataclass(frozen=True)
-class AvoidanceQuery:
+class AvoidanceQuery(_Record):
     """A class of permutations to enumerate.
 
     prefix, when set, requires members to begin with exactly those values;
@@ -72,11 +70,13 @@ class AvoidanceQuery:
     restricts to members whose entry 1 sits at that position (1 or 2).
     """
 
+    __slots__ = ("n", "patterns", "one_position", "prefix", "prefix_negation")
+    _defaults = {"patterns": PatternSet(), "one_position": None, "prefix": (), "prefix_negation": False}
     n: int
-    patterns: PatternSet = field(default_factory=PatternSet)
-    one_position: int | None = None
-    prefix: tuple[int, ...] = ()
-    prefix_negation: bool = False
+    patterns: PatternSet
+    one_position: int | None
+    prefix: tuple[int, ...]
+    prefix_negation: bool
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))

@@ -18,19 +18,18 @@ names derived from a validated body; no user text reaches `exec`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import lru_cache
-from typing import Callable, Sequence
 
-from fishburn.perm import ParseError, Permutation, parse_values
+from fishburn.perm import ParseError, Permutation, _Record, parse_values
 
 MAX_PATTERN_SIZE = 9  # keeps the compact digit encoding unambiguous
 
 
-@dataclass(frozen=True)
-class ClassicalPattern:
+class ClassicalPattern(_Record):
     """A pattern matched by order-isomorphic subsequences, no adjacency."""
 
+    __slots__ = ("body",)
     body: Permutation
 
     def __post_init__(self):
@@ -38,14 +37,20 @@ class ClassicalPattern:
             raise ValueError(f"pattern size must be 1..{MAX_PATTERN_SIZE}, got {len(self.body)}")
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    """A duplicate-free set of classical patterns plus the Fishburn flag."""
+class PatternSet(_Record):
+    """A duplicate-free set of classical patterns plus the Fishburn flag.
 
-    classical: tuple[ClassicalPattern, ...] = ()
-    fishburn: bool = False
+    classical may be any iterable of patterns; it is stored as a tuple, so
+    sets built from a list and from a tuple are equal and hashable.
+    """
+
+    __slots__ = ("classical", "fishburn")
+    _defaults = {"classical": (), "fishburn": False}
+    classical: tuple[ClassicalPattern, ...]
+    fishburn: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "classical", tuple(self.classical))
         if len(set(self.classical)) != len(self.classical):
             raise ValueError("duplicate classical pattern in set")
 

@@ -7,20 +7,81 @@ The empty permutation (n = 0) is valid and avoids every pattern.
 Text encoding: entries as decimal integers separated by single spaces
 ("3 1 2 4 7 5 6").  On input only, a single run of digits ("3124756") is
 accepted as a compact form for lengths up to 9.
+
+`_Record`, the base of the package's immutable value types, lives here
+because every other module already imports this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 
 class ParseError(ValueError):
     """Raised when text does not encode a permutation or pattern."""
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class _Record:
+    """Base of the package's immutable value types.  A subclass names its
+    fields, in order, in `__slots__` and their defaults in `_defaults`; it
+    is built from positional or keyword arguments, then checked by its
+    `__post_init__`.  Records compare and hash by the tuple of their fields,
+    and only records of one class are ever equal; copies and pickles are
+    rebuilt through the constructor.  This is what a frozen dataclass would
+    generate, without loading `dataclasses` (and `inspect`) at start-up."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                value = kwargs.pop(field)
+            elif field in self._defaults:
+                value = self._defaults[field]
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+            object.__setattr__(self, field, value)
+        if kwargs:
+            field = next(iter(kwargs))
+            kind = "a repeated" if field in fields else "an unexpected"
+            raise TypeError(f"{name}() got {kind} argument {field!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, field) for field in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+
+class Permutation(_Record):
     """An immutable rearrangement of {1, ..., n}: the validated body of a
     classical pattern.
 
@@ -30,6 +91,7 @@ class Permutation:
     0
     """
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
     def __post_init__(self):

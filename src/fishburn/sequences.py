@@ -8,13 +8,13 @@ F(0) = 0 indexing.  `fibonacci` below is the single place that encodes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
 from math import comb
-from typing import Callable
 
 from fishburn.enumeration import CapacityError
 from fishburn.patterns import PatternSet
+from fishburn.perm import _Record
 
 
 class RangeError(ValueError):
@@ -65,18 +65,19 @@ def q_value(n: int) -> int:
     return half
 
 
-@dataclass(frozen=True)
-class SequenceRow:
+class SequenceRow(_Record):
     """One counted claim: the class avoiding `patterns` (only its members
     with entry 1 at `one_position`, when set) has `formula(n)` members for
     every n >= valid_from.  The closed form returns None where its
     expression is undefined."""
 
+    __slots__ = ("row_id", "patterns", "formula", "valid_from", "one_position")
+    _defaults = {"one_position": None}
     row_id: str
     patterns: PatternSet
     formula: Callable[[int], int | None]
     valid_from: int
-    one_position: int | None = None
+    one_position: int | None
 
 
 def claim(

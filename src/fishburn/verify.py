@@ -11,15 +11,13 @@ deterministic: for fixed input the serialized forms are byte-identical.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from math import comb
-from typing import Callable, Sequence
 
 from fishburn.enumeration import DEFAULT_COUNT_CAP, AvoidanceQuery, CapacityError, count, members, search
 from fishburn.patterns import PatternSet
-from fishburn.perm import complement, left_to_right_maxima
+from fishburn.perm import _Record, complement, left_to_right_maxima
 from fishburn.sequences import (
     IDENTITY_MIN_N,
     SERIES_CAP,
@@ -35,10 +33,10 @@ from fishburn.sequences import (
 )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(_Record):
     """One (statement, n) comparison: counted value vs closed form."""
 
+    __slots__ = ("row_id", "n", "observed", "expected", "asserted", "matched")
     row_id: str
     n: int
     observed: int
@@ -47,8 +45,8 @@ class CheckRecord:
     matched: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
+    __slots__ = ("suite", "records", "passed")
     suite: str
     records: tuple[CheckRecord, ...]
     passed: bool
@@ -283,6 +281,8 @@ def format_delimited(reports: Sequence[VerificationReport]) -> str:
 
 def format_structured(reports: Sequence[VerificationReport]) -> str:
     """A single JSON document with the same fields as the delimited format."""
+    import json  # only this format needs it; loading it at import slows every start
+
     doc = {
         "passed": all(report.passed for report in reports),
         "suites": [

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fishburn import AvoidanceQuery, PatternSet, members
 from fishburn.cli import main
 from fishburn.perm import values_format
+from fishburn.verify import format_structured, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -315,3 +316,25 @@ def test_closed_stdout_pipe_exits_zero_quietly(argv, first_line):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_cli_start_loads_no_dataclasses_json_or_typing():
+    # Start-up cost is most of a short run, so the CLI's import stays lean:
+    # the value types need no `dataclasses` (with `inspect`), annotations no
+    # `typing`, and `json` is loaded only when a structured report is
+    # written.  `-S` keeps the site hooks' own imports out of the count.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import fishburn.cli\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', 'typing') if m in sys.modules))\n"
+        "sys.exit(fishburn.cli.main(['verify', 'all', '--max-n', '3', '--format', 'structured']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, _, report = proc.stdout.partition("\n")
+    assert loaded == ""
+    doc = json.loads(report)
+    assert doc["passed"] is True
+    assert doc == json.loads(format_structured(run_suite("all", 3)))

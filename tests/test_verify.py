@@ -280,3 +280,13 @@ def test_verify_walks_the_tree_once_per_row(monkeypatch):
             assert calls == walks, (suite, max_n)
         # Every key of one max_n fits the memo, so no walk is evicted.
         assert verify._class_sizes.cache_info().currsize <= 32
+
+
+def test_pattern_set_from_a_list_is_a_memo_key():
+    # PatternSet stores its patterns as a tuple, so one built from a list is
+    # hashable and equal to the same set built from a tuple.
+    patterns = PatternSet.parse("321,1243", fishburn=True).classical
+    listed = PatternSet(list(patterns), True)
+    assert listed.classical == patterns
+    assert listed == PatternSet(patterns, True) and hash(listed) == hash(PatternSet(patterns, True))
+    assert verify._class_sizes(listed, 5)[0] == [1, 1, 2, 4, 8, 14]
