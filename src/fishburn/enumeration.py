@@ -37,8 +37,11 @@ Radoicic).
 A member is its tuple of values.  `search` visits the members in tree
 order: depth first by size, the sites of each member tried left to right.
 It counts each member once, where its parent makes it, at its size and,
-when entry 1 is first or second, in that split too.  `members` collects
-and sorts them, so member lists are lexicographic.
+when entry 1 is first or second, in that split too.  A parent counts its
+children by popcounts of one mask of their sites, so the leaf level, the
+largest, is tallied without a loop and its members are built only for a
+visitor.  `members` collects and sorts them, so member lists are
+lexicographic.
 Counts are exact arbitrary-precision integers.  Caps default to 14 for
 counting and 10 for materializing member lists; both are arguments, and
 they are the only length limits.
@@ -159,9 +162,9 @@ def search(
 
     # Members come off the stack in tree order (depth first, sites left to
     # right): a member's children all have one size, so they are either all
-    # leaves, emitted as they are met left to right, or all inner members,
-    # made right to left and pushed as they are made, so that the leftmost
-    # one is popped first and its subtree finished before its next sibling.
+    # leaves, visited left to right, or all inner members, made right to
+    # left and pushed as they are made, so that the leftmost one is popped
+    # first and its subtree finished before its next sibling.
     # Each entry is a member word of size m < n, its inverse inv
     # (zero-based) and its bit mask dead of killed sites (below).
     splits = (first, second)
@@ -205,11 +208,41 @@ def search(
                         probe[m] = s - 0.5
                         if occurs_ending_at(probe, m, pattern):
                             dead |= 1 << s
-        kids = low = 0
-        for s in range(lo, hi + 1) if top == n else range(hi, lo - 1, -1):
-            if dead >> s & 1:
-                continue
-            if top < n:
+        # live holds the sites of the children: those in [lo, hi] that dead
+        # leaves open.  The range is empty when lo > hi + 1, where the
+        # difference of the two powers is negative and is clamped to 0.
+        live = ~dead & max(0, (2 << hi) - (1 << lo))
+        # A child made at site s has entry 1 at one + (s <= one), so the low
+        # sites, those at or left of entry 1, move it one place right.  The
+        # empty member's one site counts as low: its child (1,) has entry 1
+        # at one + 1 = 0.
+        low_sites = (2 << one) - 1 if m else 1
+        if top == n:
+            # Leaves are whole members, so the filters on those cut here.
+            # The target keeps the sites that put entry 1 at it: the low ones
+            # when it lies one right of entry 1, none when it lies further,
+            # and when entry 1 sits at it, the sites lo has already left.
+            if target >= 0 and target != one:
+                live &= low_sites if target == one + 1 else 0
+            # The ban cuts the sites that put ban_value at ban_index.  The
+            # new maximum lands at its site s; a smaller value at index p
+            # lands at p + (s <= p), so at p = ban_index for the sites right
+            # of p and at p + 1 = ban_index for the sites at or left of p.
+            if ban_value:
+                if ban_value == top:
+                    live &= ~(1 << ban_index)
+                else:
+                    p = inv[ban_value - 1]
+                    if p == ban_index:
+                        live &= (2 << p) - 1
+                    elif p + 1 == ban_index:
+                        live &= -(2 << p)
+        kids = live.bit_count()
+        low = (live & low_sites).bit_count()
+        if top < n:
+            for s in range(hi, lo - 1, -1):
+                if not live >> s & 1:
+                    continue
                 child = [p + (p >= s) for p in inv]
                 child.append(s)
                 mask = (dead & ((2 << s) - 1)) | ((dead >> s) << (s + 1))
@@ -226,30 +259,26 @@ def search(
                 # m, the old maximum, lies right of top.
                 if fishburn and m and inv[m - 1] >= s:
                     mask |= 2 << s
-                stack.append((top, word[:s] + [top] + word[s:], child, mask))
-            else:
-                if target >= 0 and (one + (s <= one) if m else 0) != target:
-                    continue
-                if ban_value:
-                    at = s if ban_value == top else inv[ban_value - 1] + (s <= inv[ban_value - 1])
-                    if at == ban_index:
-                        continue
-                if visit is not None:
-                    visit((*word[:s], top, *word[s:]))
-            kids += 1
-            if s <= one:
-                low += 1
-        # Each member is counted once, here, where its parent makes it: a
-        # child made at site s has entry 1 at one + (s <= one), so the low
-        # children moved it one place right, and (1,), the only child of
-        # the empty member, has it at 0.  Without a prefix, sizes[m] is
-        # then the class count at m, and first[m] and second[m] split it by
-        # where entry 1 sits.  With one_position sizes[m] counts the
-        # members with entry 1 at the target, and so does the split the
-        # target names: insertions never move entry 1 left, and the target
-        # pruning above cuts only children with entry 1 right of it.  With
-        # a prefix the lower entries do not count the query at m; callers
-        # read only index n.
+                w = word.copy()
+                w.insert(s, top)
+                stack.append((top, w, child, mask))
+        elif visit is not None:
+            for s in range(lo, hi + 1):
+                if live >> s & 1:
+                    w = word.copy()
+                    w.insert(s, top)
+                    visit(tuple(w))
+        # Each member is counted once, here, where its parent makes it, by
+        # popcounts of live: kids children, of which the low ones have entry
+        # 1 at one + 1 and the others at one.  A leaf level is thus tallied
+        # without a loop; its members are built only for a visitor.  Without
+        # a prefix, sizes[m] is then the class count at m, and first[m] and
+        # second[m] split it by where entry 1 sits.  With one_position
+        # sizes[m] counts the members with entry 1 at the target, and so
+        # does the split the target names: insertions never move entry 1
+        # left, lo cuts only children with entry 1 right of it, and the leaf
+        # cut only leaves with entry 1 elsewhere.  With a prefix the lower
+        # entries do not count the query at m; callers read only index n.
         for j, c in ((one, kids - low), (one + 1, low)) if m else ((0, kids),):
             if target < 0 or j == target:
                 sizes[top] += c

@@ -144,7 +144,10 @@ def test_search_visit_order_is_pinned():
     digest = hashlib.sha256()
     for q in queries:
         seen = []
-        search(q, seen.append, cap=q.n)
+        result = search(q, seen.append, cap=q.n)
+        # The tally and the visitor read one mask of sites in two places.
+        assert result == search(q, None, cap=q.n)
+        assert len(seen) == result[0][-1]
         digest.update(repr(seen).encode())
     assert digest.hexdigest() == "c7510dab1193f053cf07de7ece100f1e257cc23191dfda3b2457749ad878c51f"
 
@@ -199,6 +202,10 @@ def test_prefix_examples():
     assert count(AvoidanceQuery(5, ps, prefix=(5, 1))) == 1
     assert members(AvoidanceQuery(5, ps, prefix=(5, 1))) == [(5, 1, 2, 3, 4)]
     assert count(AvoidanceQuery(7, ps, prefix=(3, 1, 2), prefix_negation=True)) == 10
+    # Under the prefix (5,) the leaf 5 has one site, 0, while the target
+    # moves lo to 2 when entry 1 is already second: an empty site range.
+    q = AvoidanceQuery(5, PatternSet.parse("31452"), one_position=2, prefix=(5,))
+    assert count(q) == oracle.count(5, [(3, 1, 4, 5, 2)], one_position=2, prefix=(5,)) == 6
 
 
 def test_query_validation():

@@ -57,8 +57,29 @@ MUTANTS = [
      "first_site[v] = last_site[v] = sum(1 for u in ahead if u < v)",
      "first_site[v] = sum(1 for u in ahead if u < v)"),
     ("no leaf entry-1 check", SEARCH,
-     "if target >= 0 and (one + (s <= one) if m else 0) != target:",
+     "if target >= 0 and target != one:",
      "if False:"),
+    ("empty range left unclamped", SEARCH,
+     "max(0, (2 << hi) - (1 << lo))",
+     "((2 << hi) - (1 << lo))"),
+    ("target cut on the wrong side", SEARCH,
+     "live &= low_sites if target == one + 1 else 0",
+     "live &= ~low_sites if target == one + 1 else 0"),
+    ("root child cut by the target", SEARCH,
+     "low_sites = (2 << one) - 1 if m else 1",
+     "low_sites = (2 << one) - 1 if m else 0"),
+    ("ban cut on the wrong side of a staying value", SEARCH,
+     "live &= (2 << p) - 1",
+     "live &= -(2 << p)"),
+    ("ban cut on the wrong side of a moving value", SEARCH,
+     "live &= -(2 << p)",
+     "live &= (2 << p) - 1"),
+    ("ban on the new maximum one site off", SEARCH,
+     "live &= ~(1 << ban_index)",
+     "live &= ~(2 << ban_index)"),
+    ("low counted with 1 << one", SEARCH,
+     "low = (live & low_sites).bit_count()",
+     "low = (live & (low_sites >> 1)).bit_count()"),
     ("pattern not inverted", SEARCH,
      "tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))",
      "w"),
@@ -96,7 +117,7 @@ MUTANTS = [
      "if target < 0 or j == target:",
      "if True:"),
     ("inner sites pushed left to right", SEARCH,
-     "range(lo, hi + 1) if top == n else range(hi, lo - 1, -1)",
+     "range(hi, lo - 1, -1)",
      "range(lo, hi + 1)"),
     ("j < 1 for j < 2", SEARCH,
      "if j < 2:",
