@@ -23,7 +23,7 @@ from fishburn.enumeration import (
     members,
 )
 from fishburn.patterns import PatternSet
-from fishburn.perm import ParseError, parse_values, values_format
+from fishburn.perm import ParseError, parse_values
 from fishburn.sequences import SERIES_CAP, fishburn_series
 from fishburn.verify import SUITES, format_delimited, format_plain, format_structured, run_suite
 
@@ -97,10 +97,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_list(args: argparse.Namespace) -> int:
     query = _build_query(args)
     found = members(query, cap=args.cap)
-    line = values_format(query.n) + "\n"
+    values = {48 + v: f"{v} " for v in range(1, query.n + 1)}  # a word's chr(48 + v) -> "v "
     with _open_output(args.output) as out:
         for start in range(0, len(found), _LIST_CHUNK_LINES):
-            out.write("".join([line % values for values in found[start:start + _LIST_CHUNK_LINES]]))
+            text = "\n".join(found[start:start + _LIST_CHUNK_LINES]) + "\n"
+            out.write(text.translate(values).replace(" \n", "\n"))
     return EXIT_OK
 
 

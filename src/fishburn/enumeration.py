@@ -34,14 +34,15 @@ pattern's head, its inverse less the last entry, occurs ending there.
 This is the active-site bookkeeping of generating trees (West; Marinov and
 Radoicic).
 
-A member is its tuple of values.  `search` visits the members in tree
-order: depth first by size, the sites of each member tried left to right.
-It counts each member once, where its parent makes it, at its size and,
-when entry 1 is first or second, in that split too.  A parent counts its
-children by popcounts of one mask of their sites, so the leaf level, the
-largest, is tallied without a loop and its members are built only for a
-visitor.  `members` collects and sorts them, so member lists are
-lexicographic.
+A member is its word, one character chr(48 + v) per value v ("213"), which
+sorts as its value tuple does; `fishburn.perm.word_values` decodes it.
+`search` visits the members in tree order: depth first by size, the sites
+of each member tried left to right.  It counts each member once, where its
+parent makes it, at its size and, when entry 1 is first or second, in that
+split too.  A parent counts its children by popcounts of one mask of their
+sites, so the leaf level, the largest, is tallied without a loop and its
+members are built only for a visitor.  `members` sorts the words, so
+member lists are lexicographic.
 Counts are exact arbitrary-precision integers.  Caps default to 14 for
 counting and 10 for materializing member lists; both are arguments, and
 they are the only length limits.
@@ -98,7 +99,7 @@ class AvoidanceQuery(_Record):
 
 def search(
     query: AvoidanceQuery,
-    visit: Callable[[tuple[int, ...]], None] | None,
+    visit: Callable[[str], None] | None,
     *,
     cap: int = DEFAULT_COUNT_CAP,
 ) -> tuple[list[int], list[int], list[int]]:
@@ -107,7 +108,7 @@ def search(
     The tree is walked depth first, the children of a member (its new
     maximum inserted at each site, left to right) in turn, so members that
     share a parent are visited together; the order is not lexicographic.
-    visit, when set, is passed each member's tuple of values.  Returns
+    visit, when set, is passed each member's word.  Returns
     (sizes, first, second), each one count per size 0..n: sizes[n] is the
     number of members, first[n] and second[n] the number with entry 1 at
     position 1 and at position 2, and the comment at the tally after the
@@ -122,7 +123,7 @@ def search(
     second = [0] * (n + 1)
     if n == 0:
         if sizes[0] and visit is not None:
-            visit(())
+            visit("")
         return sizes, first, second
 
     # Deleting the maximum keeps the head's entries up to m in front, in
@@ -165,14 +166,15 @@ def search(
     # leaves, visited left to right, or all inner members, made right to
     # left and pushed as they are made, so that the leftmost one is popped
     # first and its subtree finished before its next sibling.
-    # Each entry is a member word of size m < n, its inverse inv
+    # Each entry is a member of size m < n: its word, its inverse inv
     # (zero-based) and its bit mask dead of killed sites (below).
     splits = (first, second)
-    stack = [(0, [], [], 0)]
+    stack = [(0, "", [], 0)]
     while stack:
         m, word, inv, dead = stack.pop()
         one = inv[0] if m else -1  # index of entry 1; the empty member has none
         top = m + 1
+        code = chr(48 + top)  # the new maximum's character in a word
         lo, hi = first_site[top], last_site[top]
         # Insertions only move entry 1 right, so once it sits at the target
         # index every site left of it is pruned.  At m = 0 the new maximum
@@ -259,15 +261,11 @@ def search(
                 # m, the old maximum, lies right of top.
                 if fishburn and m and inv[m - 1] >= s:
                     mask |= 2 << s
-                w = word.copy()
-                w.insert(s, top)
-                stack.append((top, w, child, mask))
+                stack.append((top, word[:s] + code + word[s:], child, mask))
         elif visit is not None:
             for s in range(lo, hi + 1):
                 if live >> s & 1:
-                    w = word.copy()
-                    w.insert(s, top)
-                    visit(tuple(w))
+                    visit(word[:s] + code + word[s:])
         # Each member is counted once, here, where its parent makes it, by
         # popcounts of live: kids children, of which the low ones have entry
         # 1 at one + 1 and the others at one.  A leaf level is thus tallied
@@ -292,9 +290,9 @@ def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
     return search(query, None, cap=cap)[0][-1]
 
 
-def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> list[tuple[int, ...]]:
-    """The value tuples of every member of the class, lexicographically sorted."""
-    found: list[tuple[int, ...]] = []
+def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> list[str]:
+    """The words of every member of the class, sorted, so in lexicographic order."""
+    found: list[str] = []
     search(query, found.append, cap=cap)
     found.sort()
     return found

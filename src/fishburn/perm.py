@@ -5,8 +5,8 @@ values are one-indexed throughout, matching the combinatorics literature.
 The empty permutation (n = 0) is valid and avoids every pattern.
 
 Text encoding: entries as decimal integers separated by single spaces
-("3 1 2 4 7 5 6").  On input only, a single run of digits ("3124756") is
-accepted as a compact form for lengths up to 9.
+("3 1 2 4 7 5 6"); on input only, also one run of digits ("3124756") up to
+length 9.  `word_values` decodes the kernel's member words ("213").
 
 `_Record`, the base of the package's immutable value types, lives here
 because every other module already imports this one.
@@ -132,13 +132,13 @@ def left_to_right_maxima(values: Sequence[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def values_format(n: int) -> str:
-    """The %-format string that encodes n values as text.
+def word_values(word: str) -> tuple[int, ...]:
+    """Decode a member's word, one character chr(48 + v) per value v.
 
-    >>> values_format(3) % (3, 1, 2)
-    '3 1 2'
+    >>> word_values("21:")
+    (2, 1, 10)
     """
-    return " ".join(["%d"] * n)
+    return tuple([ord(c) - 48 for c in word])
 
 
 def parse_values(text: str) -> tuple[int, ...]:

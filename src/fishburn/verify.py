@@ -17,7 +17,7 @@ from math import comb
 
 from fishburn.enumeration import DEFAULT_COUNT_CAP, AvoidanceQuery, CapacityError, count, members, search
 from fishburn.patterns import PatternSet
-from fishburn.perm import _Record, complement, left_to_right_maxima
+from fishburn.perm import _Record, complement, left_to_right_maxima, word_values
 from fishburn.sequences import (
     IDENTITY_MIN_N,
     SERIES_CAP,
@@ -177,7 +177,7 @@ def verify_wilf_complement(max_n: int) -> VerificationReport:
     for n in range(max_n + 1):
         lhs = members(AvoidanceQuery(n, class_a), cap=max_n)
         rhs = members(AvoidanceQuery(n, class_b), cap=max_n)
-        bijective = sorted(map(complement, lhs)) == rhs
+        bijective = sorted(complement(word_values(w)) for w in lhs) == list(map(word_values, rhs))
         records.append(_record("wilf-complement", n, len(lhs), len(rhs), True, extra_ok=bijective))
     return _finish("wilf-complement", records)
 
@@ -191,7 +191,7 @@ def verify_lrmax_bijection(max_n: int) -> VerificationReport:
     patterns = PatternSet.parse("321,3142", fishburn=True)
     for n in range(1, max_n + 1):
         mem = members(AvoidanceQuery(n, patterns), cap=max_n)
-        images = set(map(left_to_right_maxima, mem))
+        images = {left_to_right_maxima(word_values(w)) for w in mem}
         family = {
             frozenset({n} | {i + 1 for i in range(n - 1) if mask >> i & 1})
             for mask in range(1 << (n - 1))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fishburn import AvoidanceQuery, PatternSet, members
 from fishburn.cli import main
-from fishburn.perm import values_format
+from fishburn.perm import word_values
 from fishburn.verify import format_structured, run_suite
 
 
@@ -62,8 +62,10 @@ def _list_stdout(argv):
 
 
 def _member_lines(query):
-    line = values_format(query.n) + "\n"
-    return "".join(line % values for values in members(query, cap=query.n))
+    # Built from the decoded members, not by the formatter under test.  A
+    # list of lines: on a mismatch pytest diffs two long strings line by
+    # line, which takes minutes when every line differs.
+    return [" ".join(map(str, word_values(word))) + "\n" for word in members(query, cap=query.n)]
 
 
 @settings(deadline=None, max_examples=40)
@@ -93,12 +95,13 @@ def test_list_prints_the_members_byte_for_byte(n, texts, fishburn, one_position,
         prefix=prefix,
         prefix_negation=prefix_negation,
     )
-    assert _list_stdout(argv) == _member_lines(query)
+    assert _list_stdout(argv).splitlines(keepends=True) == _member_lines(query)
 
 
 def test_list_sorts_two_digit_values_numerically():
     out = _list_stdout(["--avoid", "321,1243", "--fishburn", "-n", "11", "--cap", "11"])
-    assert out == _member_lines(AvoidanceQuery(11, PatternSet.parse("321,1243", fishburn=True)))
+    query = AvoidanceQuery(11, PatternSet.parse("321,1243", fishburn=True))
+    assert out.splitlines(keepends=True) == _member_lines(query)
     rows = [tuple(map(int, line.split())) for line in out.splitlines()]
     assert rows == sorted(set(rows))
     # Numeric order, not text order: "1 2 ..." precedes "1 10 ...".

@@ -21,13 +21,18 @@ from fishburn.enumeration import (
     search,
 )
 from fishburn.patterns import PatternSet, parse_pattern
-from fishburn.perm import Permutation
+from fishburn.perm import Permutation, word_values
 from fishburn.sequences import TABLE_ROWS, fishburn_series, q_value
 from fishburn.verify import run_suite
 
 
 def _ps(text, fishburn=True):
     return PatternSet.parse(text, fishburn=fishburn)
+
+
+def _listed(query, **kwargs):
+    """The query's members, decoded from words to value tuples."""
+    return [word_values(word) for word in members(query, **kwargs)]
 
 
 def test_count_examples():
@@ -44,7 +49,7 @@ def test_count_of_empty_length_is_one_for_any_patterns():
     assert count(AvoidanceQuery(0, _ps("321,14253"))) == 1
     assert count(AvoidanceQuery(0, PatternSet())) == 1
     assert count(AvoidanceQuery(0, _ps("1"))) == 1
-    assert members(AvoidanceQuery(0, _ps("321,1243"))) == [()]
+    assert members(AvoidanceQuery(0, _ps("321,1243"))) == [""]
 
 
 def test_unconstrained_query_counts_all_permutations():
@@ -53,17 +58,56 @@ def test_unconstrained_query_counts_all_permutations():
 
 
 def test_members_examples():
-    assert members(AvoidanceQuery(3, _ps("321,1243"), one_position=2)) == [(2, 1, 3), (3, 1, 2)]
-    assert members(AvoidanceQuery(1, PatternSet(fishburn=True))) == [(1,)]
-    assert members(AvoidanceQuery(4, _ps("321,1243"), one_position=2)) == [
+    assert members(AvoidanceQuery(3, _ps("321,1243"), one_position=2)) == ["213", "312"]
+    assert _listed(AvoidanceQuery(3, _ps("321,1243"), one_position=2)) == [(2, 1, 3), (3, 1, 2)]
+    assert _listed(AvoidanceQuery(1, PatternSet(fishburn=True))) == [(1,)]
+    assert _listed(AvoidanceQuery(4, _ps("321,1243"), one_position=2)) == [
         (2, 1, 3, 4), (2, 1, 4, 3), (3, 1, 2, 4), (3, 1, 4, 2), (4, 1, 2, 3)
     ]
+
+
+def test_search_passes_words_to_visit():
+    # A member is its word, one character chr(48 + v) per value v; the empty
+    # member's word is "".
+    seen = []
+    search(AvoidanceQuery(0, PatternSet()), seen.append)
+    assert seen == [""]
+    seen = []
+    search(AvoidanceQuery(4, _ps("321,1243"), one_position=2), seen.append)
+    assert seen and all(type(word) is str for word in seen)
+    assert sorted(seen) == ["2134", "2143", "3124", "3142", "4123"]
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_words_past_nine_sort_and_decode_as_value_tuples(n):
+    # Values 10 and 11 are the characters ':' and ';', which follow '9', so
+    # the words sort as the value tuples do.  oracle.members filters all n!
+    # permutations, too many here, so the reference runs its membership test
+    # on the ones that open with the prefix: the prefix followed by each
+    # permutation of the other seven values, in lexicographic order.
+    head = tuple(range(1, n - 6))
+    expected = [
+        head + tail
+        for tail in permutations(range(n - 6, n + 1))
+        if oracle.is_member(head + tail, fishburn=True)
+    ]
+    got = members(AvoidanceQuery(n, PatternSet(fishburn=True), prefix=head), cap=n)
+    assert any(":" in word[:-1] for word in got)
+    assert [word_values(word) for word in got] == expected
+
+
+def test_a_word_past_latin_1_decodes():
+    # Av(12) holds only the decreasing permutation; at n = 300 its word holds
+    # characters past Latin-1.
+    [word] = members(AvoidanceQuery(300, PatternSet.parse("12")), cap=300)
+    assert max(word) > "\xff"
+    assert word_values(word) == tuple(range(300, 0, -1))
 
 
 def test_members_are_lexicographically_sorted_and_counted():
     for row in TABLE_ROWS[:6]:
         q = AvoidanceQuery(6, row.patterns)
-        got = members(q)
+        got = _listed(q)
         assert got == sorted(got)
         assert len(got) == count(q)
 
@@ -85,7 +129,7 @@ def test_one_beyond_first_two_positions_occurs_without_321():
     # Dropping the 321 constraint must populate the "elsewhere" bucket.
     first, second, other = _split_by_one_position(4, PatternSet(fishburn=True))
     assert other > 0
-    got = members(AvoidanceQuery(4, PatternSet(fishburn=True)))
+    got = _listed(AvoidanceQuery(4, PatternSet(fishburn=True)))
     assert other == sum(1 for word in got if word.index(1) >= 2)
 
 
@@ -148,13 +192,13 @@ def test_search_visit_order_is_pinned():
         # The tally and the visitor read one mask of sites in two places.
         assert result == search(q, None, cap=q.n)
         assert len(seen) == result[0][-1]
-        digest.update(repr(seen).encode())
+        digest.update(repr([word_values(word) for word in seen]).encode())
     assert digest.hexdigest() == "c7510dab1193f053cf07de7ece100f1e257cc23191dfda3b2457749ad878c51f"
 
 
 def test_search_never_visits_non_members():
     q = AvoidanceQuery(6, _ps("321,21354"))
-    for word in members(q):
+    for word in _listed(q):
         assert oracle.is_member(word, [(3, 2, 1), (2, 1, 3, 5, 4)], fishburn=True)
 
 
@@ -187,7 +231,7 @@ def test_kernel_equals_brute_force_with_filters():
     cases = [(PatternSet(fishburn=True), [], {}), (ps2, bodies2, dict(prefix=(8, 1)))]
     cases += [(ps2, bodies2, dict(prefix=(k, 1, 2), prefix_negation=True)) for k in range(3, 8)]
     for patterns, bodies, filters in cases:
-        got = members(AvoidanceQuery(8, patterns, **filters))
+        got = _listed(AvoidanceQuery(8, patterns, **filters))
         assert got == oracle.members(8, bodies, fishburn=True, **filters)
 
 
@@ -200,7 +244,7 @@ def test_classical_only_queries_need_no_fishburn_flag():
 def test_prefix_examples():
     ps = _ps("321,21354")
     assert count(AvoidanceQuery(5, ps, prefix=(5, 1))) == 1
-    assert members(AvoidanceQuery(5, ps, prefix=(5, 1))) == [(5, 1, 2, 3, 4)]
+    assert _listed(AvoidanceQuery(5, ps, prefix=(5, 1))) == [(5, 1, 2, 3, 4)]
     assert count(AvoidanceQuery(7, ps, prefix=(3, 1, 2), prefix_negation=True)) == 10
     # Under the prefix (5,) the leaf 5 has one site, 0, while the target
     # moves lo to 2 when entry 1 is already second: an empty site range.
@@ -323,7 +367,7 @@ def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_positio
     filters = dict(one_position=one_position, prefix=prefix, prefix_negation=prefix_negation)
     q = AvoidanceQuery(n, ps, **filters)
     assert count(q) == oracle.count(n, bodies, fishburn=fishburn, **filters)
-    assert members(q) == oracle.members(n, bodies, fishburn=fishburn, **filters)
+    assert _listed(q) == oracle.members(n, bodies, fishburn=fishburn, **filters)
     # Without a prefix one walk counts the query, and splits it by where
     # entry 1 sits, at every size up to n; with one, only index n counts it.
     sizes, first, second = search(q, None)
@@ -462,7 +506,7 @@ def test_size_one_pattern_and_full_length_prefix():
     # A prefix of length n admits at most that one permutation, and negating
     # it admits none: its first n-1 entries fix the last.
     ps = _ps("321,1243")
-    assert members(AvoidanceQuery(4, ps, prefix=(2, 1, 3, 4))) == [(2, 1, 3, 4)]
+    assert _listed(AvoidanceQuery(4, ps, prefix=(2, 1, 3, 4))) == [(2, 1, 3, 4)]
     assert count(AvoidanceQuery(4, ps, prefix=(3, 2, 1, 4))) == 0
     assert count(AvoidanceQuery(3, ps, prefix=(1, 2, 3), prefix_negation=True)) == 0
 
@@ -471,12 +515,13 @@ def test_visited_values_are_distinct_permutations():
     q = AvoidanceQuery(4, _ps("321,1243"))
     out = []
     search(q, out.append)
+    out = [word_values(word) for word in out]
     assert all(sorted(word) == [1, 2, 3, 4] for word in out)
     assert len(set(out)) == len(out) == count(q)
 
 
 def test_members_build_no_permutation_objects(monkeypatch):
-    # Members are value tuples end to end: listing a class builds no
+    # Members are words end to end: listing a class builds no
     # validated Permutation, and a verify suite builds only its pattern
     # bodies, far fewer than the members it lists.
     calls = 0

@@ -18,7 +18,7 @@ from fishburn.patterns import (
     occurs_ending_at,
     parse_pattern,
 )
-from fishburn.perm import ParseError, Permutation, complement
+from fishburn.perm import ParseError, Permutation, complement, word_values
 
 perms = st.integers(0, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(lambda w: Permutation(tuple(w)))
@@ -79,8 +79,8 @@ def test_complement_duality_exhaustive(n):
     # so the kernel's member lists must map onto each other.
     for pat in _all_patterns_up_to(4):
         flipped = ClassicalPattern(Permutation(complement(pat.body.values)))
-        avoiding = members(AvoidanceQuery(n, PatternSet((pat,))))
-        avoiding_flipped = members(AvoidanceQuery(n, PatternSet((flipped,))))
+        avoiding = map(word_values, members(AvoidanceQuery(n, PatternSet((pat,)))))
+        avoiding_flipped = list(map(word_values, members(AvoidanceQuery(n, PatternSet((flipped,))))))
         assert sorted(map(complement, avoiding)) == avoiding_flipped, pat.body.values
 
 

@@ -10,7 +10,7 @@ from fishburn.perm import (
     complement,
     left_to_right_maxima,
     parse_values,
-    values_format,
+    word_values,
 )
 
 perms = st.integers(0, 8).flatmap(lambda n: st.permutations(list(range(1, n + 1))).map(tuple))
@@ -59,11 +59,11 @@ def test_maxima_include_first_entry_and_n(p):
 
 def test_text_round_trip():
     values = (3, 1, 2, 4, 7, 5, 6)
-    assert values_format(7) % values == "3 1 2 4 7 5 6"
+    assert word_values("".join(chr(48 + v) for v in values)) == values
     assert parse_values("3 1 2 4 7 5 6") == values
     assert parse_values("3124756") == values
     assert parse_values("") == ()
-    assert values_format(0) % () == ""
+    assert word_values("") == ()
 
 
 def test_text_parse_errors():

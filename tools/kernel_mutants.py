@@ -122,6 +122,15 @@ MUTANTS = [
     ("j < 1 for j < 2", SEARCH,
      "if j < 2:",
      "if j < 1:"),
+    ("leaf word drops the displaced entry", SEARCH,
+     "visit(word[:s] + code + word[s:])",
+     "visit(word[:s] + code + word[s + 1:])"),
+    ("inner word built one site off", SEARCH,
+     "stack.append((top, word[:s] + code + word[s:], child, mask))",
+     "stack.append((top, word[:s + 1] + code + word[s + 1:], child, mask))"),
+    ("word offset 49", SEARCH,
+     "code = chr(48 + top)",
+     "code = chr(49 + top)"),
     ("visitor called at n = 0 under a target", SEARCH,
      "if sizes[0] and visit is not None:",
      "if visit is not None:"),
