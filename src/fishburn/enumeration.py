@@ -18,7 +18,7 @@ inverse of w (raising the entries above s by one), and pi occurs in a word
 iff the inverse of pi occurs in its inverse, the maximum of one becoming the
 last entry of the other.  An occurrence of pi that uses the new maximum is
 therefore an occurrence of pi's inverse ending at the last index of the
-child's inverse, which the anchored matcher `occurs_ending_at` decides.
+child's inverse.
 
 Each member carries the mask of its dead sites, those where the new maximum
 makes an occurrence of any avoided pattern, and does not test every site
@@ -29,10 +29,12 @@ maximum adds the rest where the member is made: for 321 it kills every
 site left of it when an entry follows it, and for Fishburn the site right
 of it when the old maximum lies further right.  For the other classical
 patterns an occurrence that uses the newest inverse entry has it next to
-last, so the member probes its open sites for a pattern only when the
-pattern's head, its inverse less the last entry, occurs ending there.
-This is the active-site bookkeeping of generating trees (West; Marinov and
-Radoicic).
+last, and without its last entry it is an occurrence of the pattern's head,
+its inverse less the last entry, ending there.  Only when the anchored
+matcher `occurs_ending_at` finds the head there does the member look for
+new dead sites, and it finds them in one pass, `fishburn.patterns.dead_sites`:
+each occurrence of the head kills one interval of sites.  This is the
+active-site bookkeeping of generating trees (West; Marinov and Radoicic).
 
 A member is its word, one character chr(48 + v) per value v ("213"), which
 sorts as its value tuple does; `fishburn.perm.word_values` decodes it.
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from fishburn.patterns import ClassicalPattern, PatternSet, occurs_ending_at
+from fishburn.patterns import ClassicalPattern, PatternSet, dead_sites, occurs_ending_at
 from fishburn.perm import Permutation, _Record
 
 DEFAULT_COUNT_CAP = 14
@@ -191,25 +193,19 @@ def search(
         # made at; the push below hands each child its parent's mask with
         # bit s doubled, and adds the Fishburn and 321 bits of its maximum.
         # For any other classical pattern, an occurrence that uses that
-        # maximum ends at the probe, index m of the probed inverse, with the
-        # newest entry inv[m-1] next to last, since no index lies between;
-        # without its last entry it is an occurrence of the head ending at
-        # m - 1.  Only when the head occurs there does the member probe, for
-        # that pattern, the sites the mask leaves open.  The root has no
-        # newest entry and probes its one site in full.
-        if checks:
-            # Placing the new maximum at site s puts it, in the inverse, at
-            # a value between the entries s-1 and s; s - 0.5 is
-            # order-isomorphic to the inverse after insertion.
-            probe = inv + [0]
-            for pattern, head in checks:
-                if m and not occurs_ending_at(inv, m - 1, head):
-                    continue
-                for s in range(m + 1):
-                    if not dead >> s & 1:
-                        probe[m] = s - 0.5
-                        if occurs_ending_at(probe, m, pattern):
-                            dead |= 1 << s
+        # maximum ends at the new inverse entry, index m of the child's
+        # inverse, with the newest entry inv[m-1] next to last, since no
+        # index lies between; without its last entry it is an occurrence of
+        # the head ending at m - 1.  Only when the head occurs there does
+        # the member call `dead_sites`, one pass over the head's occurrences:
+        # the new entry s - 0.5 completes one iff it lies between the values
+        # L and U of its slots next below and next above the pattern's last
+        # entry, so each occurrence kills the sites [L + 1, U] (the argument
+        # is written out at `patterns._killer`).  A size-1 pattern has no
+        # head and kills every site, so the root's only one.
+        for pattern, head in checks:
+            if head is None or m and occurs_ending_at(inv, m - 1, head):
+                dead |= dead_sites(inv, m - 1, pattern)
         # live holds the sites of the children: those in [lo, hi] that dead
         # leaves open.  The range is empty when lo > hi + 1, where the
         # difference of the two powers is negative and is clamped to 0.

@@ -20,7 +20,7 @@ from fishburn.enumeration import (
     members,
     search,
 )
-from fishburn.patterns import PatternSet, parse_pattern
+from fishburn.patterns import ClassicalPattern, PatternSet, occurs_ending_at, parse_pattern
 from fishburn.perm import Permutation, word_values
 from fishburn.sequences import TABLE_ROWS, fishburn_series, q_value
 from fishburn.verify import run_suite
@@ -389,10 +389,10 @@ def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_positio
     st.data(),
 )
 def test_inherited_dead_sites_match_oracle_at_every_size(n, texts, with_321, fishburn, one_position, data):
-    # Each member inherits its parent's dead sites and probes only when its
-    # newest inverse entry can join a new occurrence; a mask that loses or
-    # mis-shifts a site shows only a few levels down, so the walk goes to
-    # n = 7 with patterns of size 4 and 5.
+    # Each member inherits its parent's dead sites and looks for new ones
+    # only when its newest inverse entry can join an occurrence; a mask
+    # that loses or mis-shifts a site shows only a few levels down, so the
+    # walk goes to n = 7 with patterns of size 4 and 5.
     texts = ["321", *texts] if with_321 else texts
     ps = PatternSet(tuple(parse_pattern(t) for t in texts), fishburn)
     bodies = [tuple(int(c) for c in t) for t in texts]
@@ -435,33 +435,44 @@ def test_a_class_with_one_member_per_size_costs_linear_checks(monkeypatch):
 
 @pytest.mark.parametrize("text", ["321,31452", "321,1243", "2413,41523"])
 def test_no_anchored_check_at_a_dead_site(monkeypatch, text):
-    # A probe is an anchored call whose last entry is a half-integer: the
-    # member's inverse followed by site - 0.5.  The dead-site mask holds the
-    # Fishburn and 321 kills, so no site either one kills is ever probed.
-    probes = []
-    matcher = enumeration.occurs_ending_at
+    # A member learns the sites its own maximum kills from one `dead_sites`
+    # pass, made only when the pattern's head ends at its newest inverse
+    # entry, in place of one anchored probe per open site.  For every member
+    # of the walk and every pattern it checks, the fresh mask must equal the
+    # sites where such a probe, the member's inverse followed by site - 0.5,
+    # finds an occurrence, on the sites the parent's mask leaves open for
+    # that pattern: those where the probe finds none without the member's
+    # maximum, inv[m-1].
+    fresh = {}
+    killer = enumeration.dead_sites
 
     def spy(word, last, pattern):
-        if word[last] % 1:
-            probes.append((tuple(word[:last]), int(word[last] + 0.5)))
-        return matcher(word, last, pattern)
+        mask = killer(word, last, pattern)
+        fresh[tuple(word), pattern.body.values] = mask
+        return mask
 
-    monkeypatch.setattr(enumeration, "occurs_ending_at", spy)
-    count(AvoidanceQuery(9, _ps(text)))
-    assert probes
-    has_321 = text.startswith("321,")
-    for inv, s in probes:
-        member = [0] * len(inv)
-        for v, i in enumerate(inv, 1):
-            member[i] = v
-        if s:
-            a = member[s - 1]
-            assert not (a >= 2 and inv[a - 2] >= s), (member, s)
-        if has_321:
-            run = len(member) - 1
-            while run > 0 and member[run - 1] < member[run]:
-                run -= 1
-            assert s >= run, (member, s)
+    monkeypatch.setattr(enumeration, "dead_sites", spy)
+    ps = _ps(text)
+    n = 9
+    count(AvoidanceQuery(n, ps))
+    assert any(fresh.values())
+    patterns = [
+        ClassicalPattern(Permutation(tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))))
+        for w in (p.body.values for p in ps.classical)
+        if w != (3, 2, 1)
+    ]
+    for m in range(1, n):
+        for word in members(AvoidanceQuery(m, ps)):
+            inv = [0] * m
+            for i, v in enumerate(word_values(word)):
+                inv[v - 1] = i
+            for pat in patterns:
+                probed = inherited = 0
+                for s in range(m + 1):
+                    probed |= occurs_ending_at(inv + [s - 0.5], m, pat) << s
+                    inherited |= occurs_ending_at(inv[:-1] + [s - 0.5], m - 1, pat) << s
+                got = fresh.get((tuple(inv), pat.body.values), 0)
+                assert got & ~inherited == probed & ~inherited, (word, pat.body.values)
 
 
 @settings(deadline=None, max_examples=60)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import textwrap
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,7 @@ from fishburn.patterns import (
     MAX_PATTERN_SIZE,
     ClassicalPattern,
     PatternSet,
+    dead_sites,
     occurs_ending_at,
     parse_pattern,
 )
@@ -110,10 +112,37 @@ def test_anchored_matcher_matches_definition():
                     assert occurs_ending_at(w, m, pat) == _ends_at(w, m, pat.body.values), (w, m, pat)
 
 
+def test_dead_sites_match_definition():
+    # Bit s of dead_sites(w, last, pat) must be set iff, in w followed by
+    # the probe s - 0.5, some occurrence of pat ends at the probe with index
+    # last next to last, for last = len(w) - 1 as the kernel calls it.  Each
+    # body compiles to its own loops, so every word of length up to 7 meets
+    # every body of sizes 2-5.  The definition is evaluated once per word,
+    # size and site: the bodies with such an occurrence are the standardized
+    # subsequences that end at index last and the probe.  (Asking `_ends_at`
+    # per body and site would make about 10^8 subsequence tests.)  One size
+    # at a time, so its at most 120 bodies stay in the compiled cache.
+    standardize = cache(_standardize)
+    for k in range(2, 6):
+        pats = [ClassicalPattern(Permutation(b)) for b in permutations(range(1, k + 1))]
+        for n in range(1, 8):
+            last = n - 1
+            for w in permutations(range(n)):
+                want = {}
+                for s in range(n + 1):
+                    word = (*w, s - 0.5)
+                    for idx in combinations(range(last), k - 2):
+                        body = standardize(tuple([word[i] for i in (*idx, last, n)]))
+                        want[body] = want.get(body, 0) | 1 << s
+                for pat in pats:
+                    assert dead_sites(w, last, pat) == want.get(pat.body.values, 0), (w, pat.body.values)
+
+
 @given(st.integers(0, 7), st.data(), pattern_texts)
 def test_matcher_handles_arbitrary_distinct_values(m, data, text):
-    # The kernel's word is a child's inverse: a rearrangement of 0..m-1
-    # followed by the probe s - 0.5 for the site s of the new maximum.
+    # A word may hold any distinct numbers, here a child's inverse: a
+    # rearrangement of 0..m-1 followed by the probe s - 0.5 for the site s
+    # of the new maximum.
     inverse = data.draw(st.permutations(list(range(m))))
     s = data.draw(st.integers(0, m))
     word = (*inverse, s - 0.5)
@@ -129,8 +158,8 @@ def _standardize(values):
 @given(st.integers(5, MAX_PATTERN_SIZE), st.integers(4, 11), st.booleans(), st.data())
 def test_matcher_matches_definition_for_long_patterns(k, m, planted, data):
     # Long bodies nest deepest; MAX_PATTERN_SIZE gives k - 1 = 8 loops.  The
-    # word is a shuffled inverse followed by a half-integer probe, as the
-    # kernel passes it.  A planted pattern is read off the word itself, so
+    # word is a shuffled inverse followed by a half-integer probe, a child's
+    # inverse.  A planted pattern is read off the word itself, so
     # about half the draws have an occurrence ending at the probe.
     inverse = data.draw(st.permutations(list(range(m))))
     word = (*inverse, data.draw(st.integers(0, m)) - 0.5)
@@ -145,27 +174,28 @@ def test_matcher_matches_definition_for_long_patterns(k, m, planted, data):
 
 def test_matchers_compile_on_first_use_into_a_bounded_cache():
     # Start-up compiles nothing: importing the package and parsing every
-    # claim's pattern text leave the cache empty.  The whole verify run
-    # compiles one matcher per distinct body it checks, and stays below
-    # the cache bound.
+    # claim's pattern text leave both caches empty.  The whole verify run
+    # compiles one matcher per distinct head it gates on and one kill pass
+    # per distinct inverted body it asks for, and stays below the bound.
     script = textwrap.dedent("""
         import fishburn
         from fishburn import patterns
         from fishburn.sequences import TABLE_ROWS
         from fishburn.verify import run_suite
 
+        caches = (patterns._matcher, patterns._killer)
         for row in TABLE_ROWS:
             fishburn.PatternSet.parse(row.row_id.split(":")[0], fishburn=True)
-        before = patterns._matcher.cache_info()
+        before = [c.cache_info().currsize for c in caches]
         run_suite("all", 9)
-        after = patterns._matcher.cache_info()
-        print(before.currsize, after.currsize, after.maxsize)
+        after = [c.cache_info() for c in caches]
+        print(*before, *(i.currsize for i in after), *(i.maxsize for i in after))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    before, after, maxsize = map(int, proc.stdout.split())
-    assert (before, after) == (0, 20)
-    assert after < maxsize
+    before_m, before_k, after_m, after_k, max_m, max_k = map(int, proc.stdout.split())
+    assert (before_m, before_k, after_m, after_k) == (0, 0, 11, 18)
+    assert after_m < max_m and after_k < max_k
 
 
 @pytest.mark.parametrize("sigma", ["132", "213", "312", "3142"])

@@ -1,8 +1,8 @@
 """Check that the Tier-1 tests kill every kernel mutant in MUTANTS.
 
 Each mutant is one edit to a file of the kernel, the search in
-src/fishburn/enumeration.py or the anchored matcher it calls in
-src/fishburn/patterns.py: the file, a text that must occur there exactly
+src/fishburn/enumeration.py or the anchored matcher and kill pass it calls
+in src/fishburn/patterns.py: the file, a text that must occur there exactly
 once, and the text put in its place.  For each mutant the tool copies the
 parts of the checkout the tests read (src, tests, perfbench, pyproject.toml
 and README.md) to a temporary directory, applies the edit to the copy and
@@ -21,7 +21,9 @@ then fails with MemoryError instead of filling the host's memory.
     python tools/kernel_mutants.py
 
 Exit status: 0 when every mutant is killed; 1 when one survives, a run times
-out or the unmutated copy fails; 2 when an edit no longer matches its file.
+out or the unmutated copy fails; 2 when an edit no longer matches its file;
+143 when stopped by SIGTERM, after ending the running Tier-1 run and removing
+the temporary copy.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -89,12 +92,6 @@ MUTANTS = [
     ("head drops the first entry", SEARCH,
      "tuple(v - (v > b[-1]) for v in b[:-1])",
      "tuple(v - (v > b[0]) for v in b[1:])"),
-    ("root never tested", SEARCH,
-     "if m and not occurs_ending_at(inv, m - 1, head):",
-     "if not m or not occurs_ending_at(inv, m - 1, head):"),
-    ("probe loop from lo", SEARCH,
-     "for s in range(m + 1):",
-     "for s in range(lo, m + 1):"),
     ("dead mask mis-shifted", SEARCH,
      "((dead >> s) << (s + 1))",
      "((dead >> s) << s)"),
@@ -104,9 +101,6 @@ MUTANTS = [
     ("321 bits also on append", SEARCH,
      "if has_321 and s < m:",
      "if has_321 and s <= m:"),
-    ("wrong probe side", SEARCH,
-     "probe[m] = s - 0.5",
-     "probe[m] = s + 0.5"),
     ("root child at index 1", SEARCH,
      "if m else ((0, kids),)",
      "if m else ((1, kids),)"),
@@ -135,14 +129,23 @@ MUTANTS = [
      "if sizes[0] and visit is not None:",
      "if visit is not None:"),
     ("nearest smaller flipped", MATCHER,
-     "lo = max((f for f in fixed if f[0] < body[j]), default=None)",
-     "lo = max((f for f in fixed if f[0] > body[j]), default=None)"),
+     "lo = max((f for f in named if f[0] < value), default=(0, None))[1]",
+     "lo = max((f for f in named if f[0] > value), default=(0, None))[1]"),
     ("loop stop off by one", MATCHER,
      "last - {k - 2 - j}",
      "last - {k - 1 - j}"),
     ("anchor on the wrong side", MATCHER,
      '[(body[-1], "a")]',
-     '[(2 * body[j] - body[-1], "a")]'),
+     '[(2 * value - body[-1], "a")]'),
+    ("kill interval from L, not L + 1", MATCHER,
+     'lower = f"2 << {lo}"',
+     'lower = f"1 << {lo}"'),
+    ("kill interval short of the last site", MATCHER,
+     "hi or '(last + 1)'",
+     "hi or 'last'"),
+    ("kill interval bounds swapped", MATCHER,
+     "lo, hi = _neighbours(body[-1], head, len(head) - 1)",
+     "hi, lo = _neighbours(body[-1], head, len(head) - 1)"),
 ]
 
 
@@ -155,13 +158,26 @@ def run_tier1(tree: Path) -> tuple[int | None, str, float]:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     start = time.monotonic()
-    try:
-        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-                              preexec_fn=_limit_memory)
-    except subprocess.TimeoutExpired:
-        return None, f"timed out after {TIMEOUT_S} s", time.monotonic() - start
-    lines = proc.stdout.strip().splitlines()
+    with subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                          preexec_fn=_limit_memory, start_new_session=True) as proc:
+        try:
+            out, _ = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None, f"timed out after {TIMEOUT_S} s", time.monotonic() - start
+        finally:
+            # The run leads its own process group.  End the group, the
+            # interpreters its tests started included, whether the run
+            # finished, timed out or this tool is being stopped.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    lines = out.strip().splitlines()
     return proc.returncode, lines[-1] if lines else "", time.monotonic() - start
+
+
+def _stop(signum, frame) -> None:
+    raise SystemExit(128 + signum)
 
 
 def main() -> int:
@@ -195,4 +211,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM unwinds like an exception, so the `finally` in run_tier1 ends
+    # the running test and the temporary copy is removed.
+    signal.signal(signal.SIGTERM, _stop)
     sys.exit(main())
