@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fishburn import AvoidanceQuery, PatternSet, members
 from fishburn.cli import main
+from fishburn.enumeration import search
 from fishburn.perm import word_values
 from fishburn.verify import format_structured, run_suite
 
@@ -115,9 +116,43 @@ def test_list_output_bytes_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b4a9ac4e8c7d24a0ac33738c4a6a823d7c095bc09bb66a6a3ddc4252eef1a1d1"
     )
+    # Two-digit values: the benchmark's list workload, whose digest it checks.
+    out = _list_stdout(["--fishburn", "-n", "10"])
+    assert out.count("\n") == 201608  # c_10
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8838b4f2494b91c0d91bdd67cb26aee500eaed33c695f088afa546d499cf1a06"
+    )
     # Values above 255 sort and print like any other.
     out = _list_stdout(["--avoid", "12", "-n", "300", "--cap", "300"])
     assert out == " ".join(str(v) for v in range(300, 0, -1)) + "\n"
+
+
+def test_list_prints_three_digit_values():
+    # Three-digit fields, and word characters past ASCII (chr(48 + v) for v >= 80).
+    query = AvoidanceQuery(100, PatternSet.parse("132,213,321"))
+    # |Av_n(132, 213, 321)| = n.  A kernel fault that lets this class grow
+    # would keep `list` walking for minutes, so a first walk stops at the
+    # member past the 100th.
+    seen = []
+
+    def visit(word):
+        seen.append(word)
+        assert len(seen) <= 100, "more than n members"
+
+    search(query, visit, cap=100)
+    assert len(seen) == 100
+    out = _list_stdout(["--avoid", "132,213,321", "-n", "100", "--cap", "100"])
+    assert out.splitlines(keepends=True) == _member_lines(query)
+
+
+def test_list_output_file_matches_stdout(tmp_path, capsys):
+    argv = ["list", "--avoid", "321,1243", "--fishburn", "-n", "11", "--cap", "11"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "members.txt"
+    code, file_out, _ = run_cli(capsys, *argv, "-o", str(target))
+    assert (code, file_out) == (0, "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_list_triple_class(capsys):

@@ -1,8 +1,9 @@
-"""Check that the Tier-1 tests kill every kernel mutant in MUTANTS.
+"""Check that the Tier-1 tests kill every kernel and list-formatter mutant in MUTANTS.
 
 Each mutant is one edit to a file of the kernel, the search in
 src/fishburn/enumeration.py or the anchored matcher and kill pass it calls
-in src/fishburn/patterns.py: the file, a text that must occur there exactly
+in src/fishburn/patterns.py, or to the fixed-width formatter of `fishburn
+list` in src/fishburn/cli.py: the file, a text that must occur there exactly
 once, and the text put in its place.  For each mutant the tool copies the
 parts of the checkout the tests read (src, tests, perfbench, pyproject.toml
 and README.md) to a temporary directory, applies the edit to the copy and
@@ -41,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEARCH = Path("src/fishburn/enumeration.py")
 MATCHER = Path("src/fishburn/patterns.py")
+FORMATTER = Path("src/fishburn/cli.py")
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 TIMEOUT_S = 600
 MEMORY_BYTES = 1 << 30
@@ -146,6 +148,12 @@ MUTANTS = [
     ("kill interval bounds swapped", MATCHER,
      "lo, hi = _neighbours(body[-1], head, len(head) - 1)",
      "hi, lo = _neighbours(body[-1], head, len(head) - 1)"),
+    ("newline one column early", FORMATTER,
+     'buf[line - 1::line] = b"\\n"',
+     'buf[line - 2::line] = b"\\n"'),
+    ("NUL padding left in", FORMATTER,
+     'buf.translate(None, b"\\0")',
+     'bytes(buf)'),
 ]
 
 
