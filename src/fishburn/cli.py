@@ -73,7 +73,8 @@ def _add_query_arguments(parser: argparse.ArgumentParser, default_cap: int) -> N
 
 def _build_query(args: argparse.Namespace) -> AvoidanceQuery:
     patterns = PatternSet.parse(args.avoid, fishburn=args.fishburn)
-    prefix = parse_values(args.prefix)
+    # Compact digits name values up to 9, so from n = 10 on `12` is one value.
+    prefix = parse_values(args.prefix, compact=args.n <= 9)
     return AvoidanceQuery(
         args.n,
         patterns,

@@ -43,8 +43,9 @@ of each member tried left to right.  It counts each member once, where its
 parent makes it, at its size and, when entry 1 is first or second, in that
 split too.  A parent counts its children by popcounts of one mask of their
 sites, so the leaf level, the largest, is tallied without a loop and its
-members are built only for a visitor.  `members` sorts the words, so
-member lists are lexicographic.
+members are built only for a visitor.  Every query filter (the prefix, the
+entry-1 target, the negated prefix's ban) is a mask of sites ANDed into
+that one.  `members` sorts the words, so member lists are lexicographic.
 Counts are exact arbitrary-precision integers.  Caps default to 14 for
 counting and 10 for materializing member lists; both are arguments, and
 they are the only length limits.
@@ -99,6 +100,23 @@ class AvoidanceQuery(_Record):
                 raise ValueError(f"prefix value {v} outside 1..{self.n}")
 
 
+def _lands(inv: list[int], top: int, value: int, index: int) -> int:
+    """The mask of sites whose child holds value at index.
+
+    inv is the zero-based inverse of a member of size top - 1.  Its child
+    made at site s holds the new maximum top at s, and a smaller value at
+    index p = inv[value - 1] at p + (s <= p): at p from the sites right of
+    p, at p + 1 from those at or left of p.  The mask may have bits past
+    the last site; callers AND it with live, which has none.
+    """
+    if value == top:
+        return 1 << index
+    p = inv[value - 1]
+    if p == index:
+        return -(2 << p)
+    return (2 << p) - 1 if p + 1 == index else 0
+
+
 def search(
     query: AvoidanceQuery,
     visit: Callable[[str], None] | None,
@@ -128,23 +146,20 @@ def search(
             visit("")
         return sizes, first, second
 
-    # Deleting the maximum keeps the head's entries up to m in front, in
-    # head order, so a member of size m qualifies only if it opens with
-    # them.  The maximum v then has one site when it belongs to the head
-    # (behind the head entries smaller than v that precede it there) and
-    # otherwise any site behind every head entry smaller than v.
+    # Every filter is a mask of sites ANDed into live (below).  Deleting the
+    # maximum keeps the head's entries up to m in front, in head order, so
+    # the maximum v has one site, sites[v], when it is in the head (behind
+    # the smaller head entries before it there) and otherwise the sites
+    # behind every head entry smaller than v.
     prefix = query.prefix
     head = prefix[:-1] if query.prefix_negation else prefix
     ban_value = prefix[-1] if query.prefix_negation else 0
-    ban_index = len(prefix) - 1
-    first_site = [0] * (n + 1)
-    last_site = [v - 1 for v in range(n + 1)]
+    sites = [0]
     for v in range(1, n + 1):
         if v in head:
-            ahead = head[: head.index(v)]
-            first_site[v] = last_site[v] = sum(1 for u in ahead if u < v)
+            sites.append(1 << sum(u < v for u in head[: head.index(v)]))
         else:
-            first_site[v] = sum(1 for u in head if u < v)
+            sites.append((1 << v) - (1 << sum(u < v for u in head)))
 
     fishburn = query.patterns.fishburn
     has_321 = any(p.body.values == _PATTERN_321 for p in query.patterns.classical)
@@ -177,21 +192,15 @@ def search(
         one = inv[0] if m else -1  # index of entry 1; the empty member has none
         top = m + 1
         code = chr(48 + top)  # the new maximum's character in a word
-        lo, hi = first_site[top], last_site[top]
-        # Insertions only move entry 1 right, so once it sits at the target
-        # index every site left of it is pruned.  At m = 0 the new maximum
-        # is entry 1 itself, at index 0.
-        if one == target and lo <= target:
-            lo = target + 1
         # dead has bit t set iff the new maximum at site t makes an
         # occurrence of an avoided pattern; it is exact on [0, m].  It must
-        # not follow the prefix and target prunings of lo: those change from
-        # size to size, and the children reuse it.  Inserting a larger value
-        # keeps the order of the others, so an occurrence that avoids this
-        # member's maximum is, with its values shifted, one in the parent at
-        # its site t, or t - 1 if t lies right of the site s this member was
-        # made at; the push below hands each child its parent's mask with
-        # bit s doubled, and adds the Fishburn and 321 bits of its maximum.
+        # not take in the filters' masks: those change from size to size,
+        # and the children reuse it.  Inserting a larger value keeps the
+        # order of the others, so an occurrence that avoids this member's
+        # maximum is, with its values shifted, one in the parent at its site
+        # t, or t - 1 if t lies right of the site s this member was made at;
+        # the push below hands each child its parent's mask with bit s
+        # doubled, and adds the Fishburn and 321 bits of its maximum.
         # For any other classical pattern, an occurrence that uses that
         # maximum ends at the new inverse entry, index m of the child's
         # inverse, with the newest entry inv[m-1] next to last, since no
@@ -206,39 +215,25 @@ def search(
         for pattern, head in checks:
             if head is None or m and occurs_ending_at(inv, m - 1, head):
                 dead |= dead_sites(inv, m - 1, pattern)
-        # live holds the sites of the children: those in [lo, hi] that dead
-        # leaves open.  The range is empty when lo > hi + 1, where the
-        # difference of the two powers is negative and is clamped to 0.
-        live = ~dead & max(0, (2 << hi) - (1 << lo))
-        # A child made at site s has entry 1 at one + (s <= one), so the low
-        # sites, those at or left of entry 1, move it one place right.  The
-        # empty member's one site counts as low: its child (1,) has entry 1
-        # at one + 1 = 0.
-        low_sites = (2 << one) - 1 if m else 1
+        # live holds the children's sites: the prefix's, less the dead ones.
+        # Insertions only move entry 1 right, so once it sits at the target
+        # the sites at or left of it are cut (one is -1 at the root, and so
+        # is target when unset).
+        live = sites[top] & ~dead
+        if one == target >= 0:
+            live &= -(2 << target)
         if top == n:
-            # Leaves are whole members, so the filters on those cut here.
-            # The target keeps the sites that put entry 1 at it: the low ones
-            # when it lies one right of entry 1, none when it lies further,
-            # and when entry 1 sits at it, the sites lo has already left.
-            if target >= 0 and target != one:
-                live &= low_sites if target == one + 1 else 0
-            # The ban cuts the sites that put ban_value at ban_index.  The
-            # new maximum lands at its site s; a smaller value at index p
-            # lands at p + (s <= p), so at p = ban_index for the sites right
-            # of p and at p + 1 = ban_index for the sites at or left of p.
+            # Leaves are whole members, so the filters on those cut here:
+            # the target keeps the sites that put entry 1 at it, and the ban
+            # cuts those that put ban_value in the last prefix slot.
+            if target >= 0:
+                live &= _lands(inv, top, 1, target)
             if ban_value:
-                if ban_value == top:
-                    live &= ~(1 << ban_index)
-                else:
-                    p = inv[ban_value - 1]
-                    if p == ban_index:
-                        live &= (2 << p) - 1
-                    elif p + 1 == ban_index:
-                        live &= -(2 << p)
+                live &= ~_lands(inv, top, ban_value, len(prefix) - 1)
         kids = live.bit_count()
-        low = (live & low_sites).bit_count()
+        low = (live & _lands(inv, top, 1, one + 1)).bit_count()
         if top < n:
-            for s in range(hi, lo - 1, -1):
+            for s in range(m, -1, -1):
                 if not live >> s & 1:
                     continue
                 child = [p + (p >= s) for p in inv]
@@ -259,7 +254,7 @@ def search(
                     mask |= 2 << s
                 stack.append((top, word[:s] + code + word[s:], child, mask))
         elif visit is not None:
-            for s in range(lo, hi + 1):
+            for s in range(top):
                 if live >> s & 1:
                     visit(word[:s] + code + word[s:])
         # Each member is counted once, here, where its parent makes it, by
@@ -270,9 +265,10 @@ def search(
         # second[m] split it by where entry 1 sits.  With one_position
         # sizes[m] counts the members with entry 1 at the target, and so
         # does the split the target names: insertions never move entry 1
-        # left, lo cuts only children with entry 1 right of it, and the leaf
-        # cut only leaves with entry 1 elsewhere.  With a prefix the lower
-        # entries do not count the query at m; callers read only index n.
+        # left, the target prune cuts only children with entry 1 right of
+        # it, and the leaf cut only leaves with entry 1 elsewhere.  With a
+        # prefix the lower entries do not count the query at m; callers read
+        # only index n.
         for j, c in ((one, kids - low), (one + 1, low)) if m else ((0, kids),):
             if target < 0 or j == target:
                 sizes[top] += c

@@ -141,16 +141,17 @@ def word_values(word: str) -> tuple[int, ...]:
     return tuple([ord(c) - 48 for c in word])
 
 
-def parse_values(text: str) -> tuple[int, ...]:
+def parse_values(text: str, *, compact: bool = True) -> tuple[int, ...]:
     """Decode a space-separated or compact-digit value sequence.
 
-    Values are not checked for forming a permutation here; callers decide
-    what invariants apply (full permutation, pattern, query prefix).
+    A lone multi-digit token is one value per digit, unless compact is
+    False.  Values are not checked for forming a permutation here; callers
+    decide what invariants apply (full permutation, pattern, query prefix).
     """
     tokens = text.split()
     if not tokens:
         return ()
-    if len(tokens) == 1 and len(tokens[0]) > 1:
+    if compact and len(tokens) == 1 and len(tokens[0]) > 1:
         token = tokens[0]
         if not token.isdigit():
             raise ParseError(f"invalid token {token!r}: expected digits or space-separated integers")

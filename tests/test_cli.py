@@ -171,6 +171,22 @@ def test_prefix_flags(capsys):
     assert (code, out) == (0, "10\n")
 
 
+def test_prefix_token_is_one_value_from_n_10(capsys):
+    # Compact digits name values up to 9 only, so from n = 10 on a lone
+    # token is one value; below, it is one value per digit.
+    for prefix, want in (("12", "1\n"), ("10", "65\n"), ("1 2", "16796\n")):
+        code, out, err = run_cli(capsys, "count", "--avoid", "321", "-n", "12", "--cap", "12", "--prefix", prefix)
+        assert (code, out, err) == (0, want, "")
+    for prefix in ("312", "3 1 2"):
+        code, out, _ = run_cli(capsys, "count", "--avoid", "321", "-n", "9", "--prefix", prefix)
+        assert (code, out) == (0, "132\n")
+    code, _, err = run_cli(capsys, "count", "--avoid", "321", "-n", "9", "--prefix", "10")
+    assert code == 2 and "digits 1-9" in err
+    # Patterns keep compact digits at any n: Av(21) holds one member.
+    code, out, _ = run_cli(capsys, "count", "--avoid", "21", "-n", "12", "--cap", "12")
+    assert (code, out) == (0, "1\n")
+
+
 def test_series_command(capsys):
     code, out, _ = run_cli(capsys, "series", "-N", "3")
     assert code == 0

@@ -247,7 +247,7 @@ def test_prefix_examples():
     assert _listed(AvoidanceQuery(5, ps, prefix=(5, 1))) == [(5, 1, 2, 3, 4)]
     assert count(AvoidanceQuery(7, ps, prefix=(3, 1, 2), prefix_negation=True)) == 10
     # Under the prefix (5,) the leaf 5 has one site, 0, while the target
-    # moves lo to 2 when entry 1 is already second: an empty site range.
+    # cuts sites 0 and 1 when entry 1 is already second: no site is left.
     q = AvoidanceQuery(5, PatternSet.parse("31452"), one_position=2, prefix=(5,))
     assert count(q) == oracle.count(5, [(3, 1, 4, 5, 2)], one_position=2, prefix=(5,)) == 6
 
@@ -433,6 +433,29 @@ def test_a_class_with_one_member_per_size_costs_linear_checks(monkeypatch):
     assert 0 < calls <= 4 * n + 4
 
 
+def test_the_target_prune_expands_no_member_with_entry_1_past_the_target(monkeypatch):
+    # Insertions only move entry 1 right, so no member whose entry 1 lies
+    # past the target has one of the query below it, and the walk expands
+    # none: each member of size 1..n-1 it expands makes one anchored check
+    # for 1243, and those have entry 1 at or before the target.
+    ps = _ps("321,1243")
+    n = 8
+    _, first, second = search(AvoidanceQuery(n, ps), None)
+    calls = 0
+    matcher = enumeration.occurs_ending_at
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return matcher(*args)
+
+    monkeypatch.setattr(enumeration, "occurs_ending_at", counted)
+    for position, expanded in ((1, first), (2, [a + b for a, b in zip(first, second)])):
+        calls = 0
+        count(AvoidanceQuery(n, ps, one_position=position))
+        assert calls == sum(expanded[1:n]), position
+
+
 @pytest.mark.parametrize("text", ["321,31452", "321,1243", "2413,41523"])
 def test_no_anchored_check_at_a_dead_site(monkeypatch, text):
     # A member learns the sites its own maximum kills from one `dead_sites`
@@ -549,3 +572,58 @@ def test_members_build_no_permutation_objects(monkeypatch):
     [report] = run_suite("lrmax", 8)
     assert report.passed
     assert 0 < calls < sum(r.observed for r in report.records)
+
+
+def test_lands_is_the_set_of_sites_that_put_a_value_at_an_index():
+    # Every word of size m <= 6, every value and every index: the mask
+    # must equal the sites whose child, built by inserting m + 1 there,
+    # holds the value at the index.
+    for m in range(7):
+        sites = (2 << m) - 1
+        for word in permutations(range(1, m + 1)):
+            inv = [word.index(v) for v in range(1, m + 1)]
+            children = [word[:s] + (m + 1,) + word[s:] for s in range(m + 1)]
+            for value in range(1, m + 2):
+                for index in range(m + 1):
+                    want = sum(1 << s for s, child in enumerate(children) if child[index] == value)
+                    assert enumeration._lands(inv, m + 1, value, index) & sites == want, (word, value, index)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(5, 11),
+    st.lists(st.sampled_from(["1243", "2143", "3142", "4123", "132", "2413", "31452", "21354"]),
+             unique=True, max_size=2),
+    st.booleans(),
+    st.sampled_from([None, 1, 2]),
+    st.data(),
+)
+def test_negated_prefix_is_the_shorter_prefix_less_the_full_one(n, texts, fishburn, one_position, data):
+    # Inclusion-exclusion needs no oracle, so it reaches past the oracle's
+    # range: the members that open with P[:-1] but not with P are those of
+    # P[:-1] less those of P.  P[:-1] opens a member, when one starts with
+    # its first value, so that its class is seldom empty; P's last value
+    # follows it there or not.
+    ps = PatternSet(tuple(parse_pattern(t) for t in ["321", *texts]), fishburn)
+    first = data.draw(st.integers(1, n))
+    start = members(AvoidanceQuery(n, ps, one_position=one_position, prefix=(first,)), cap=n)
+    member = word_values(data.draw(st.sampled_from(start))) if start else tuple(range(1, n + 1))
+    length = data.draw(st.integers(1, min(n, 4)))
+    head = member[: length - 1]
+    rest = [v for v in range(1, n + 1) if v not in head]
+    last = member[length - 1] if data.draw(st.booleans()) else data.draw(st.sampled_from(rest))
+    negated, whole, shorter = (
+        AvoidanceQuery(n, ps, one_position=one_position, prefix=p, prefix_negation=neg)
+        for p, neg in ((head + (last,), True), (head + (last,), False), (head, False))
+    )
+    assert count(negated, cap=n) == count(shorter, cap=n) - count(whole, cap=n)
+    without = set(members(whole, cap=n))
+    assert members(negated, cap=n) == [w for w in members(shorter, cap=n) if w not in without]
+
+
+def test_prefix_claims_hold_at_depth():
+    # The prefix suite's queries are the prefix and ban masks at work; the
+    # acceptance run checks them to n = 9 only.
+    [report] = run_suite("prefix", 12)
+    assert report.passed
+    assert max(r.n for r in report.records) == 12

@@ -58,33 +58,39 @@ MUTANTS = [
     ("Fishburn bit on the left flank", SEARCH,
      "mask |= 2 << s",
      "mask |= 1 << s"),
+    ("ban in the slot before the last", SEARCH,
+     "_lands(inv, top, ban_value, len(prefix) - 1)",
+     "_lands(inv, top, ban_value, len(prefix) - 2)"),
     ("loose prefix sites", SEARCH,
-     "first_site[v] = last_site[v] = sum(1 for u in ahead if u < v)",
-     "first_site[v] = sum(1 for u in ahead if u < v)"),
+     "sites.append(1 << sum(u < v for u in head[: head.index(v)]))",
+     "sites.append((1 << v) - (1 << sum(u < v for u in head[: head.index(v)])))"),
     ("no leaf entry-1 check", SEARCH,
-     "if target >= 0 and target != one:",
-     "if False:"),
-    ("empty range left unclamped", SEARCH,
-     "max(0, (2 << hi) - (1 << lo))",
-     "((2 << hi) - (1 << lo))"),
+     "live &= _lands(inv, top, 1, target)",
+     "pass"),
     ("target cut on the wrong side", SEARCH,
-     "live &= low_sites if target == one + 1 else 0",
-     "live &= ~low_sites if target == one + 1 else 0"),
-    ("root child cut by the target", SEARCH,
-     "low_sites = (2 << one) - 1 if m else 1",
-     "low_sites = (2 << one) - 1 if m else 0"),
-    ("ban cut on the wrong side of a staying value", SEARCH,
-     "live &= (2 << p) - 1",
-     "live &= -(2 << p)"),
-    ("ban cut on the wrong side of a moving value", SEARCH,
-     "live &= -(2 << p)",
-     "live &= (2 << p) - 1"),
-    ("ban on the new maximum one site off", SEARCH,
-     "live &= ~(1 << ban_index)",
-     "live &= ~(2 << ban_index)"),
-    ("low counted with 1 << one", SEARCH,
-     "low = (live & low_sites).bit_count()",
-     "low = (live & (low_sites >> 1)).bit_count()"),
+     "live &= _lands(inv, top, 1, target)",
+     "live &= ~_lands(inv, top, 1, target)"),
+    ("target prune one site too wide", SEARCH,
+     "live &= -(2 << target)",
+     "live &= -(4 << target)"),
+    ("no target prune", SEARCH,
+     "if one == target >= 0:",
+     "if False:"),
+    ("root's entry 1 at index 0", SEARCH,
+     "one = inv[0] if m else -1",
+     "one = inv[0] if m else 0"),
+    ("new maximum lands one site off", SEARCH,
+     "return 1 << index",
+     "return 2 << index"),
+    ("staying value lands on the wrong side", SEARCH,
+     "return -(2 << p)",
+     "return (2 << p) - 1"),
+    ("moving value lands on the wrong side", SEARCH,
+     "return (2 << p) - 1 if p + 1 == index else 0",
+     "return -(2 << p) if p + 1 == index else 0"),
+    ("low sites one short", SEARCH,
+     "low = (live & _lands(inv, top, 1, one + 1)).bit_count()",
+     "low = (live & (_lands(inv, top, 1, one + 1) >> 1)).bit_count()"),
     ("pattern not inverted", SEARCH,
      "tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))",
      "w"),
@@ -113,8 +119,8 @@ MUTANTS = [
      "if target < 0 or j == target:",
      "if True:"),
     ("inner sites pushed left to right", SEARCH,
-     "range(hi, lo - 1, -1)",
-     "range(lo, hi + 1)"),
+     "range(m, -1, -1)",
+     "range(m + 1)"),
     ("j < 1 for j < 2", SEARCH,
      "if j < 2:",
      "if j < 1:"),
