@@ -19,6 +19,7 @@ from fishburn.enumeration import (
     DEFAULT_LIST_CAP,
     AvoidanceQuery,
     CapacityError,
+    check_cap,
     count,
     members,
 )
@@ -33,8 +34,7 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 # `list` formats and writes this many lines at a time: `width + 2` C passes
-# and one write per chunk, a buffer of one chunk's bytes rather than of the
-# whole output, and the first write after one chunk.
+# and one write per chunk, and a buffer of one chunk's bytes, not a batch's.
 _LIST_CHUNK_LINES = 4096
 
 _FORMATTERS = {
@@ -97,7 +97,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    """Print each member as its values separated by single spaces.
+    """Print each member as its values separated by single spaces, in the
+    batches `members` hands out as it walks.
 
     Every member is a permutation of 1..n, so every line holds the same n
     values and can be laid out at a fixed width: n fields of `width + 1`
@@ -106,23 +107,23 @@ def cmd_list(args: argparse.Namespace) -> int:
     assignment: digit column j of every field at once from one
     `str.translate` of the chunk's joined words (one character to one ASCII
     character, CPython's fast path), the last separator of each line turned
-    into a newline, and the NUL padding deleted.  That is `width + 2` C passes
-    per chunk, none of them a Python-level step per value.  From n = 80 on a
-    word holds characters past ASCII, and `str.translate` takes its slower
-    path, with the same result.
+    into a newline, and the NUL padding deleted: `width + 2` C passes per
+    chunk.  From n = 80 on a word holds characters past ASCII, and
+    `str.translate` takes its slower path, with the same result.
     """
     query = _build_query(args)
-    found = members(query, cap=args.cap)
+    check_cap(query.n, args.cap)  # before -o FILE is opened: a refused query leaves it as it was
     n = query.n
-    with _open_output(args.output) as out:
+    width = len(str(n))
+    field = width + 1
+    line = n * field
+    # columns[j] maps a word's chr(48 + v) to v's digit in column j, or NUL.
+    columns = [{48 + v: str(v).rjust(width, "\0")[j] for v in range(1, n + 1)} for j in range(width)]
+
+    def write(found: list[str]) -> None:
         if n == 0:
             out.write("\n" * len(found))  # each member is the empty permutation
-            return EXIT_OK
-        width = len(str(n))
-        field = width + 1
-        line = n * field
-        # columns[j] maps a word's chr(48 + v) to v's digit in column j, or NUL.
-        columns = [{48 + v: str(v).rjust(width, "\0")[j] for v in range(1, n + 1)} for j in range(width)]
+            return
         for start in range(0, len(found), _LIST_CHUNK_LINES):
             chunk = found[start:start + _LIST_CHUNK_LINES]
             text = "".join(chunk)
@@ -131,6 +132,9 @@ def cmd_list(args: argparse.Namespace) -> int:
                 buf[j::field] = text.translate(column).encode("ascii")
             buf[line - 1::line] = b"\n" * len(chunk)
             out.write(buf.translate(None, b"\0").decode("ascii"))
+
+    with _open_output(args.output) as out:
+        members(query, cap=args.cap, out=write)
     return EXIT_OK
 
 

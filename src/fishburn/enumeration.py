@@ -12,54 +12,37 @@ generating trees; for the Fishburn condition this is the recursive
 construction of Bousquet-Melou, Claesson, Dukes and Kitaev).
 
 A child can only hold an occurrence that uses the new maximum: any other one
-is an occurrence in its parent.  Classical patterns other than 321 use the
-inverse: inserting the maximum at site s of w appends the entry s+1 to the
-inverse of w (raising the entries above s by one), and pi occurs in a word
-iff the inverse of pi occurs in its inverse, the maximum of one becoming the
-last entry of the other.  An occurrence of pi that uses the new maximum is
-therefore an occurrence of pi's inverse ending at the last index of the
-child's inverse.
-
-Each member carries the mask of its dead sites, those where the new maximum
-makes an occurrence of any avoided pattern, and does not test every site
-anew.  Inserting a larger value never changes the relative order of the
-values already placed, so a member inherits its parent's dead sites, the
-two beside its own maximum both from the site it was made at.  Its own
-maximum adds the rest where the member is made: for 321 it kills every
-site left of it when an entry follows it, and for Fishburn the site right
-of it when the old maximum lies further right.  For the other classical
-patterns an occurrence that uses the newest inverse entry has it next to
-last, and without its last entry it is an occurrence of the pattern's head,
-its inverse less the last entry, ending there.  Only when the anchored
-matcher `occurs_ending_at` finds the head there does the member look for
-new dead sites, and it finds them in one pass, `fishburn.patterns.dead_sites`:
-each occurrence of the head kills one interval of sites.  This is the
-active-site bookkeeping of generating trees (West; Marinov and Radoicic).
+is an occurrence in its parent.  Inserting the maximum at site s of w
+appends the entry s+1 to the inverse of w (raising the entries above s),
+and pi occurs in a word iff its inverse occurs in the word's inverse, so an
+occurrence of a classical pattern other than 321 that uses the new maximum
+is one of its inverse ending at the last index of the child's inverse.
+Each member carries the mask of its dead sites, where the new maximum makes
+an occurrence, and inherits its parent's; only its own maximum adds new
+ones (the active sites of West, and of Marinov and Radoicic).
 
 A member is its word, one character chr(48 + v) per value v ("213"), which
-sorts as its value tuple does; `fishburn.perm.word_values` decodes it.
-`search` visits the members in tree order: depth first by size, the sites
-of each member tried left to right.  It counts each member once, where its
-parent makes it, at its size and, when entry 1 is first or second, in that
-split too.  A parent counts its children by popcounts of one mask of their
-sites, so the leaf level, the largest, is tallied without a loop and its
-members are built only for a visitor.  Every query filter (the prefix, the
-entry-1 target, the negated prefix's ban) is a mask of sites ANDed into
-that one.  `members` sorts the words, so member lists are lexicographic.
-Counts are exact arbitrary-precision integers.  Caps default to 14 for
-counting and 10 for materializing member lists; both are arguments, and
-they are the only length limits.
+sorts as its value tuple does; `fishburn.perm.word_values` decodes it.  One
+rule grows a member; every query filter is a mask of sites ANDed into its
+live sites.  `search` applies it depth first and tallies each level by
+popcounts of that mask.  `members` applies it size by size in lexicographic
+order, merging the children of consecutive parents, so it hands out words
+as it walks and sorts nothing.  Caps default to 14 for counting and 10 for
+member lists; they are arguments, and the only length limits.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
+from functools import lru_cache
 
 from fishburn.patterns import ClassicalPattern, PatternSet, dead_sites, occurs_ending_at
 from fishburn.perm import Permutation, _Record
 
 DEFAULT_COUNT_CAP = 14
 DEFAULT_LIST_CAP = 10
+BATCH = 4096  # `members` hands words to `out` this many or more at a time, but at the end
 
 _PATTERN_321 = (3, 2, 1)
 
@@ -100,15 +83,17 @@ class AvoidanceQuery(_Record):
                 raise ValueError(f"prefix value {v} outside 1..{self.n}")
 
 
-def _lands(inv: list[int], top: int, value: int, index: int) -> int:
-    """The mask of sites whose child holds value at index.
+def check_cap(n: int, cap: int) -> None:
+    """Raise CapacityError when the length n exceeds cap."""
+    if n > cap:
+        raise CapacityError(f"n={n} exceeds the cap of {cap}")
 
-    inv is the zero-based inverse of a member of size top - 1.  Its child
-    made at site s holds the new maximum top at s, and a smaller value at
-    index p = inv[value - 1] at p + (s <= p): at p from the sites right of
-    p, at p + 1 from those at or left of p.  The mask may have bits past
-    the last site; callers AND it with live, which has none.
-    """
+
+def _lands(inv: list[int], top: int, value: int, index: int) -> int:
+    """The mask of sites whose child holds value at index.  inv is the
+    zero-based inverse of a member of size top - 1; its child made at site
+    s holds top at s, and a smaller value at p = inv[value - 1] at
+    p + (s <= p).  Bits past the last site are ANDed away with live."""
     if value == top:
         return 1 << index
     p = inv[value - 1]
@@ -117,40 +102,24 @@ def _lands(inv: list[int], top: int, value: int, index: int) -> int:
     return (2 << p) - 1 if p + 1 == index else 0
 
 
-def search(
-    query: AvoidanceQuery,
-    visit: Callable[[str], None] | None,
-    *,
-    cap: int = DEFAULT_COUNT_CAP,
-) -> tuple[list[int], list[int], list[int]]:
-    """Visit every member of the class exactly once, in generating-tree order.
+@lru_cache(maxsize=1 << 12)  # bounded: masks of long members have no useful limit
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, lowest first: the live sites a member loops over."""
+    return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
 
-    The tree is walked depth first, the children of a member (its new
-    maximum inserted at each site, left to right) in turn, so members that
-    share a parent are visited together; the order is not lexicographic.
-    visit, when set, is passed each member's word.  Returns
-    (sizes, first, second), each one count per size 0..n: sizes[n] is the
-    number of members, first[n] and second[n] the number with entry 1 at
-    position 1 and at position 2, and the comment at the tally after the
-    site loop says what the lower entries count.
-    """
+
+def _grower(query: AvoidanceQuery):
+    """(grow, target): the rule both walks grow a member by, and the index
+    the query wants entry 1 at, or -1.  grow(m, word, inv, dead, slots)
+    takes a member of size m < n, appends each child, (m + 1, word, inv,
+    dead) or a leaf's word (built only when slots is set), to slots[s] for
+    its site s, left to right, and returns live, the mask of those sites."""
     n = query.n
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the cap of {cap}")
-    target = query.one_position - 1 if query.one_position else -1  # index of entry 1
-    sizes = [int(target < 0)] + [0] * n  # the root, the empty member, has no entry 1
-    first = [0] * (n + 1)
-    second = [0] * (n + 1)
-    if n == 0:
-        if sizes[0] and visit is not None:
-            visit("")
-        return sizes, first, second
-
+    target = query.one_position - 1 if query.one_position else -1
     # Every filter is a mask of sites ANDed into live (below).  Deleting the
     # maximum keeps the head's entries up to m in front, in head order, so
     # the maximum v has one site, sites[v], when it is in the head (behind
-    # the smaller head entries before it there) and otherwise the sites
-    # behind every head entry smaller than v.
+    # the smaller head entries before it), else those behind every smaller.
     prefix = query.prefix
     head = prefix[:-1] if query.prefix_negation else prefix
     ban_value = prefix[-1] if query.prefix_negation else 0
@@ -163,10 +132,9 @@ def search(
 
     fishburn = query.patterns.fishburn
     has_321 = any(p.body.values == _PATTERN_321 for p in query.patterns.classical)
-    # The inverse of a pattern body lists its positions in order of value.
-    # Each is paired with its head, the inverse without its last entry,
-    # standardized; a size-1 pattern has none (it kills the root's only
-    # site, so no member of size 1 or more ever asks for one).
+    # Each pattern's inverse, its positions in order of value, is paired
+    # with its head, the inverse less its last entry, standardized; a size-1
+    # pattern has none (it kills the root's only site, the last one asked).
     inverses = [
         tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
         for w in (p.body.values for p in query.patterns.classical)
@@ -178,98 +146,111 @@ def search(
         for b in inverses
     )
 
-    # Members come off the stack in tree order (depth first, sites left to
-    # right): a member's children all have one size, so they are either all
-    # leaves, visited left to right, or all inner members, made right to
-    # left and pushed as they are made, so that the leftmost one is popped
-    # first and its subtree finished before its next sibling.
-    # Each entry is a member of size m < n: its word, its inverse inv
-    # (zero-based) and its bit mask dead of killed sites (below).
-    splits = (first, second)
-    stack = [(0, "", [], 0)]
-    while stack:
-        m, word, inv, dead = stack.pop()
-        one = inv[0] if m else -1  # index of entry 1; the empty member has none
+    def grow(m: int, word: str, inv: list[int], dead: int, slots: list[list] | None) -> int:
         top = m + 1
-        code = chr(48 + top)  # the new maximum's character in a word
         # dead has bit t set iff the new maximum at site t makes an
-        # occurrence of an avoided pattern; it is exact on [0, m].  It must
-        # not take in the filters' masks: those change from size to size,
-        # and the children reuse it.  Inserting a larger value keeps the
-        # order of the others, so an occurrence that avoids this member's
-        # maximum is, with its values shifted, one in the parent at its site
-        # t, or t - 1 if t lies right of the site s this member was made at;
-        # the push below hands each child its parent's mask with bit s
-        # doubled, and adds the Fishburn and 321 bits of its maximum.
-        # For any other classical pattern, an occurrence that uses that
-        # maximum ends at the new inverse entry, index m of the child's
-        # inverse, with the newest entry inv[m-1] next to last, since no
-        # index lies between; without its last entry it is an occurrence of
-        # the head ending at m - 1.  Only when the head occurs there does
-        # the member call `dead_sites`, one pass over the head's occurrences:
-        # the new entry s - 0.5 completes one iff it lies between the values
-        # L and U of its slots next below and next above the pattern's last
-        # entry, so each occurrence kills the sites [L + 1, U] (the argument
-        # is written out at `patterns._killer`).  A size-1 pattern has no
-        # head and kills every site, so the root's only one.
+        # occurrence of an avoided pattern; it is exact on [0, m] and takes
+        # in no filter, which the children would inherit.  An occurrence
+        # avoiding a child's maximum is one in its parent at site t, or t - 1
+        # right of the child's site s, so a child gets its parent's mask with
+        # bit s doubled, and the Fishburn and 321 bits of its maximum.  For
+        # another pattern, one using the maximum holds the head ending at
+        # inv[m-1]; only then does the member make the `dead_sites` pass,
+        # each occurrence of the head killing the sites [L + 1, U] (argued
+        # at `patterns._killer`).  A size-1 pattern kills every site.
         for pattern, head in checks:
             if head is None or m and occurs_ending_at(inv, m - 1, head):
                 dead |= dead_sites(inv, m - 1, pattern)
-        # live holds the children's sites: the prefix's, less the dead ones.
-        # Insertions only move entry 1 right, so once it sits at the target
-        # the sites at or left of it are cut (one is -1 at the root, and so
-        # is target when unset).
+        # live: the prefix's sites less the dead ones.  Insertions only move
+        # entry 1 right, so once it sits at the target the sites at or left
+        # of it are cut (the root has no entry 1; no index is -1, unset).
         live = sites[top] & ~dead
-        if one == target >= 0:
+        if m and inv[0] == target:
             live &= -(2 << target)
         if top == n:
-            # Leaves are whole members, so the filters on those cut here:
-            # the target keeps the sites that put entry 1 at it, and the ban
-            # cuts those that put ban_value in the last prefix slot.
+            # Leaves are whole members: the target keeps the sites that put
+            # entry 1 at it, the ban cuts those that put ban_value in the
+            # last prefix slot.
             if target >= 0:
                 live &= _lands(inv, top, 1, target)
             if ban_value:
                 live &= ~_lands(inv, top, ban_value, len(prefix) - 1)
-        kids = live.bit_count()
+            if slots is not None:
+                code = chr(48 + top)  # the new maximum's character in a word
+                for s in _bits(live):
+                    slots[s].append(word[:s] + code + word[s:])
+            return live
+        code = chr(48 + top)
+        for s in _bits(live):
+            child = [p + (p >= s) for p in inv]
+            child.append(s)
+            mask = (dead & ((2 << s) - 1)) | ((dead >> s) << (s + 1))
+            # 321: the new maximum can only be the 3, so a site is dead iff
+            # a descent lies right of it.  Made left of the end, the child
+            # has the descent (top, word[s]), right of its sites 0..s.
+            if has_321 and s < m:
+                mask |= (2 << s) - 1
+            # Fishburn: the new maximum can only be the 3 of the 231, with
+            # the entry a left of it as the 2, and a-1 right of it.  Only the
+            # child's site s + 1 gets a new left entry, top, so it is dead
+            # iff m, the old maximum, lies right of top.
+            if fishburn and m and inv[m - 1] >= s:
+                mask |= 2 << s
+            slots[s].append((top, word[:s] + code + word[s:], child, mask))
+        return live
+
+    return grow, target
+
+
+def search(
+    query: AvoidanceQuery, visit: Callable[[str], None] | None, *, cap: int = DEFAULT_COUNT_CAP
+) -> tuple[list[int], list[int], list[int]]:
+    """Visit every member once, in generating-tree order: depth first, the
+    children of a member (its new maximum at each site) left to right, not
+    lexicographic.  visit, when set, is passed each member's word.  Returns
+    (sizes, first, second), one count per size 0..n: sizes[n] is the number
+    of members, first[n] and second[n] those with entry 1 at position 1 and
+    at 2; the comment at the tally says what the lower entries count."""
+    check_cap(query.n, cap)
+    n = query.n
+    grow, target = _grower(query)
+    sizes = [int(target < 0)] + [0] * n  # the root, the empty member, has no entry 1
+    first, second = [0] * (n + 1), [0] * (n + 1)
+    if n == 0:
+        if sizes[0] and visit is not None:
+            visit("")
+        return sizes, first, second
+
+    # Every site's slot is the one list kids, so it takes a member's
+    # children left to right: leaves, visited in turn, or inner members,
+    # pushed right to left, so that the stack pops them in tree order.
+    splits = (first, second)
+    stack = [(0, "", [], 0)]
+    kids: list = []
+    every = [kids] * n
+    leaves = every if visit else None
+    while stack:
+        m, word, inv, dead = stack.pop()
+        top = m + 1
+        live = grow(m, word, inv, dead, every if top < n else leaves)
+        if kids:
+            if top < n:
+                stack += reversed(kids)
+            else:
+                for leaf in kids:
+                    visit(leaf)
+            kids.clear()
+        # Each member is counted where its parent makes it, by popcounts of
+        # live: made children, the low ones with entry 1 at one + 1, the rest
+        # at one.  Without a prefix sizes[m] is the class count at m, split
+        # by first[m] and second[m]; with one_position it counts the members
+        # with entry 1 at the target, as does that split, since insertions
+        # never move entry 1 left and the prunes cut only the others.  With
+        # a prefix only index n counts the query.
+        one = inv[0] if m else -1
+        made = live.bit_count()
         low = (live & _lands(inv, top, 1, one + 1)).bit_count()
-        if top < n:
-            for s in range(m, -1, -1):
-                if not live >> s & 1:
-                    continue
-                child = [p + (p >= s) for p in inv]
-                child.append(s)
-                mask = (dead & ((2 << s) - 1)) | ((dead >> s) << (s + 1))
-                # 321: the new maximum can only be the 3, so a site is dead
-                # iff a descent lies right of it.  Made left of the end, the
-                # child has the descent (top, word[s]), right of its sites
-                # 0..s; made at the end, it adds no descent.
-                if has_321 and s < m:
-                    mask |= (2 << s) - 1
-                # Fishburn: the new maximum can only be the 3 of the 231,
-                # with the entry a left of it as the 2, and it makes an
-                # occurrence iff a-1 lies right of it.  Only the child's
-                # site s + 1 gets a new left entry, top, so it is dead iff
-                # m, the old maximum, lies right of top.
-                if fishburn and m and inv[m - 1] >= s:
-                    mask |= 2 << s
-                stack.append((top, word[:s] + code + word[s:], child, mask))
-        elif visit is not None:
-            for s in range(top):
-                if live >> s & 1:
-                    visit(word[:s] + code + word[s:])
-        # Each member is counted once, here, where its parent makes it, by
-        # popcounts of live: kids children, of which the low ones have entry
-        # 1 at one + 1 and the others at one.  A leaf level is thus tallied
-        # without a loop; its members are built only for a visitor.  Without
-        # a prefix, sizes[m] is then the class count at m, and first[m] and
-        # second[m] split it by where entry 1 sits.  With one_position
-        # sizes[m] counts the members with entry 1 at the target, and so
-        # does the split the target names: insertions never move entry 1
-        # left, the target prune cuts only children with entry 1 right of
-        # it, and the leaf cut only leaves with entry 1 elsewhere.  With a
-        # prefix the lower entries do not count the query at m; callers read
-        # only index n.
-        for j, c in ((one, kids - low), (one + 1, low)) if m else ((0, kids),):
+        for j, c in ((one, made - low), (one + 1, low)) if m else ((0, made),):
             if target < 0 or j == target:
                 sizes[top] += c
                 if j < 2:
@@ -282,9 +263,64 @@ def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
     return search(query, None, cap=cap)[0][-1]
 
 
-def members(query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP) -> list[str]:
-    """The words of every member of the class, sorted, so in lexicographic order."""
+def members(
+    query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP, out: Callable[[list[str]], object] | None = None
+) -> list[str] | int:
+    """The words of every member of the class, in lexicographic order, as a
+    list; or, with out, their number, once the merge below has handed them
+    to out in batches of BATCH words or more (the last may hold fewer)."""
+    check_cap(query.n, cap)
+    n = query.n
     found: list[str] = []
-    search(query, found.append, cap=cap)
-    found.sort()
-    return found
+    if n == 0:
+        search(query, found.append)
+    grow = _grower(query)[0]
+    # The members of size m arrive in lexicographic order, and each parent
+    # P puts its child P^s = P[:s] + max + P[s:] on the list of site s.  As
+    # max exceeds every other character, X^s < Y^t when t < s and Y shares
+    # X's prefix of length t.  Site s is flushed whenever a parent does not
+    # share the prefix of length s with the one before, so its list keeps
+    # its parents' order.  When Q follows P, j = lcp(P, Q), a child X^s
+    # pending at s > j is thus smaller than one pending at t <= j, and than
+    # a child R^t of Q or a later R: at k = lcp(P, R) <= j, R[k] > P[k] =
+    # X[k], and if t <= k, R^t holds max where X^s holds X[t].  So flushing
+    # sites m, m - 1, ..., j + 1 in order hands on the next children, as
+    # does flushing all at the end.  The loop grows the deepest size with
+    # members waiting; sizes below `ended` have had their final flush.
+    ready = [deque([(0, "", [], 0)])] + [deque() for _ in range(n - 1)]  # per size, members waiting
+    last = [""] * n  # per size, the member grown last; "" shares no prefix
+    pending: list[list[list] | None] = [None] * n  # per size and site, children waiting
+    handed = ended = m = 0
+    while ended < n:
+        queue, prev = ready[m], last[m]
+        slots = pending[m] = pending[m] or [[] for _ in range(m + 1)]
+        deepest = m + 1 == n
+        into = found if deepest else ready[m + 1]
+        while queue and (deepest or not into):
+            member = queue.popleft()
+            word = member[1]
+            j = m - 2  # words of one size hold the same values, so differ twice
+            while prev[:j] != word[:j]:
+                j -= 1
+            for s in range(m, j, -1):
+                into += slots[s]
+                slots[s].clear()
+            prev = word
+            grow(*member, slots)
+        last[m] = prev
+        if into and not deepest:
+            m += 1
+        elif m > ended:
+            m -= 1  # the size below can still hand this one members
+        else:
+            for s in range(m, -1, -1):
+                into += slots[s]
+            pending[m] = None
+            ended = m = m + 1
+        if out is not None and len(found) >= BATCH:
+            out(found)
+            handed += len(found)
+            found = []
+    if out is not None and found:
+        out(found)
+    return found if out is None else handed + len(found)

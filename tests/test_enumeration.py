@@ -22,7 +22,7 @@ from fishburn.enumeration import (
 )
 from fishburn.patterns import ClassicalPattern, PatternSet, occurs_ending_at, parse_pattern
 from fishburn.perm import Permutation, word_values
-from fishburn.sequences import TABLE_ROWS, fishburn_series, q_value
+from fishburn.sequences import TABLE_ROWS, eval_row, fishburn_series, q_value
 from fishburn.verify import run_suite
 
 
@@ -102,6 +102,52 @@ def test_a_word_past_latin_1_decodes():
     [word] = members(AvoidanceQuery(300, PatternSet.parse("12")), cap=300)
     assert max(word) > "\xff"
     assert word_values(word) == tuple(range(300, 0, -1))
+
+
+@pytest.mark.parametrize("row", TABLE_ROWS, ids=lambda r: r.row_id)
+def test_members_equal_the_sorted_visits_past_the_oracle(row):
+    # n = 11 lies past the oracle's reach; the depth-first walk is the
+    # reference for the merge's order, and its output comes in batches.
+    # The count comes first, so that a kernel fault that lets the class
+    # grow fails here and does not list a class of a million members.
+    q = AvoidanceQuery(11, row.patterns)
+    assert count(q, cap=11) == eval_row(row, 11)
+    seen = []
+    search(q, seen.append, cap=11)
+    got = members(q, cap=11)
+    assert got == sorted(seen)
+    batches = []
+    assert members(q, cap=11, out=batches.append) == len(got)
+    assert [word for batch in batches for word in batch] == got
+
+
+def test_members_hand_out_their_first_batch_early(monkeypatch):
+    # Every member the merge grows looks its live sites up once in `_bits`,
+    # so its calls count the walk's progress.  The 31,240 Fishburn
+    # permutations of length 9 come in 6 batches, the first after 1,323 of
+    # the 6,643 members grown (a walk that sorts at the end would hand it
+    # out after the last); the bound leaves room for other batch sizes.
+    grown = 0
+    bits = enumeration._bits
+
+    def counted(mask):
+        nonlocal grown
+        grown += 1
+        return bits(mask)
+
+    monkeypatch.setattr(enumeration, "_bits", counted)
+    batches = []
+    at = []
+
+    def out(batch):
+        at.append(grown)
+        batches.append(batch)
+
+    q = AvoidanceQuery(9, PatternSet(fishburn=True))
+    assert members(q, cap=9, out=out) == 31240
+    assert len(batches) >= 5 and at[0] <= grown // 4
+    assert all(len(batch) >= enumeration.BATCH for batch in batches[:-1])
+    assert [word for batch in batches for word in batch] == members(q, cap=9)
 
 
 def test_members_are_lexicographically_sorted_and_counted():
@@ -291,17 +337,21 @@ def test_search_depth_does_not_depend_on_the_caller_stack():
     # deep caller as from the top.  The child interpreter's time bound turns
     # a kernel fault that loosens the prefix sites, and so walks every
     # Fishburn permutation of length 900, into a failure instead of a hang.
+    # The merge behind `members` holds one state per size; it must not
+    # hold a frame per size too.
     script = textwrap.dedent("""
-        from fishburn import AvoidanceQuery, PatternSet, count
+        from fishburn import AvoidanceQuery, PatternSet, count, members
 
         def from_depth(frames, fn):
             return fn() if frames == 0 else from_depth(frames - 1, fn)
 
         q = AvoidanceQuery(900, PatternSet(fishburn=True), prefix=tuple(range(900, 0, -1)))
         print(count(q, cap=900), from_depth(150, lambda: count(q, cap=900)))
+        decreasing = AvoidanceQuery(900, PatternSet.parse("12"))
+        print(len(from_depth(150, lambda: members(decreasing, cap=900))))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1\n1\n", "")
 
 
 def test_package_root_loads_only_the_kernel():
@@ -368,6 +418,10 @@ def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_positio
     q = AvoidanceQuery(n, ps, **filters)
     assert count(q) == oracle.count(n, bodies, fishburn=fishburn, **filters)
     assert _listed(q) == oracle.members(n, bodies, fishburn=fishburn, **filters)
+    # The merge behind `members` against the sorted visits of the walk.
+    seen = []
+    search(q, seen.append)
+    assert members(q) == sorted(seen)
     # Without a prefix one walk counts the query, and splits it by where
     # entry 1 sits, at every size up to n; with one, only index n counts it.
     sizes, first, second = search(q, None)

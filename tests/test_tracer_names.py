@@ -22,3 +22,18 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     # saw its checks, and every original is back afterwards.
     assert tracer.leaf["patterns"][0] > 0
     assert enumeration.occurs_ending_at is patterns.occurs_ending_at
+
+
+def test_traced_list_books_its_members(monkeypatch, capsys):
+    # `perfbench/spans.py` books the `cli.members` span from what `members`
+    # returns, the list or, when it streams to `out`, the member count; a
+    # `list` that reached its members some other way would book none.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from fishburn import cli
+
+    with spans.traced(spans.Tracer()) as tracer:
+        assert cli.main(["list", "--fishburn", "-n", "5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 53
+    assert spans.layer_metrics(tracer.as_dict())["enumeration.members"] == 53

@@ -1,20 +1,24 @@
 """Check that the Tier-1 tests kill every kernel and list-formatter mutant in MUTANTS.
 
-Each mutant is one edit to a file of the kernel, the search in
-src/fishburn/enumeration.py or the anchored matcher and kill pass it calls
-in src/fishburn/patterns.py, or to the fixed-width formatter of `fishburn
-list` in src/fishburn/cli.py: the file, a text that must occur there exactly
-once, and the text put in its place.  For each mutant the tool copies the
-parts of the checkout the tests read (src, tests, perfbench, pyproject.toml
-and README.md) to a temporary directory, applies the edit to the copy and
-runs the Tier-1 command there:
+Each mutant is one edit to a file of the kernel, the per-member rule, the
+search and the lexicographic merge in src/fishburn/enumeration.py or the
+anchored matcher and kill pass they call in src/fishburn/patterns.py, or to
+the fixed-width formatter of `fishburn list` in src/fishburn/cli.py: the
+file, a text that must occur there exactly once, and the text put in its
+place.  For each mutant the tool copies the parts of the checkout the tests
+read (src, tests, perfbench, pyproject.toml and README.md) to a temporary
+directory, applies the edit to the copy and runs the Tier-1 command there,
+stopped at its first failing test (-x):
 
-    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+    PYTHONPATH=src python -m pytest -q -x --continue-on-collection-errors
 
 A mutant is killed when that run fails.  An unmutated copy is run first and
 must pass, so a kill means the edit, not the tree, broke a test.  The mutants
-run one after another, each a full Tier-1 run; the loose-prefix-sites one
-waits out the 60 s bound of the deep-search tests.  Each run may map at most
+run one after another; the loose-prefix-sites one waits out the 60 s bound
+of the deep-search tests.  A run stops at its first failure because the rest
+can only add time: a mutant that multiplies members (a merge that never
+clears a pending list) makes every later listing fill memory, and a run that
+went on through them timed out, which counts as a survival.  Each run may map at most
 MEMORY_BYTES (Tier-1 itself peaks near 55 MB): a matcher mutant that misses
 occurrences lets classes such as Av(12) at n = 300 explode, and such a run
 then fails with MemoryError instead of filling the host's memory.
@@ -74,11 +78,11 @@ MUTANTS = [
      "live &= -(2 << target)",
      "live &= -(4 << target)"),
     ("no target prune", SEARCH,
-     "if one == target >= 0:",
+     "if m and inv[0] == target:",
      "if False:"),
     ("root's entry 1 at index 0", SEARCH,
-     "one = inv[0] if m else -1",
-     "one = inv[0] if m else 0"),
+     "if m and inv[0] == target:",
+     "if (inv[0] if m else 0) == target:"),
     ("new maximum lands one site off", SEARCH,
      "return 1 << index",
      "return 2 << index"),
@@ -110,29 +114,50 @@ MUTANTS = [
      "if has_321 and s < m:",
      "if has_321 and s <= m:"),
     ("root child at index 1", SEARCH,
-     "if m else ((0, kids),)",
-     "if m else ((1, kids),)"),
-    ("kids - low not subtracted", SEARCH,
-     "((one, kids - low), (one + 1, low))",
-     "((one, kids), (one + 1, low))"),
+     "if m else ((0, made),)",
+     "if m else ((1, made),)"),
+    ("made - low not subtracted", SEARCH,
+     "((one, made - low), (one + 1, low))",
+     "((one, made), (one + 1, low))"),
     ("target ignored in the tally", SEARCH,
      "if target < 0 or j == target:",
      "if True:"),
-    ("inner sites pushed left to right", SEARCH,
-     "range(m, -1, -1)",
-     "range(m + 1)"),
+    ("inner members pushed left to right", SEARCH,
+     "stack += reversed(kids)",
+     "stack += kids"),
     ("j < 1 for j < 2", SEARCH,
      "if j < 2:",
      "if j < 1:"),
     ("leaf word drops the displaced entry", SEARCH,
-     "visit(word[:s] + code + word[s:])",
-     "visit(word[:s] + code + word[s + 1:])"),
+     "slots[s].append(word[:s] + code + word[s:])",
+     "slots[s].append(word[:s] + code + word[s + 1:])"),
     ("inner word built one site off", SEARCH,
-     "stack.append((top, word[:s] + code + word[s:], child, mask))",
-     "stack.append((top, word[:s + 1] + code + word[s + 1:], child, mask))"),
-    ("word offset 49", SEARCH,
-     "code = chr(48 + top)",
-     "code = chr(49 + top)"),
+     "slots[s].append((top, word[:s] + code + word[s:], child, mask))",
+     "slots[s].append((top, word[:s + 1] + code + word[s + 1:], child, mask))"),
+    ("leaf word offset 49", SEARCH,
+     "code = chr(48 + top)  #",
+     "code = chr(49 + top)  #"),
+    ("inner word offset 49", SEARCH,
+     "code = chr(48 + top)\n",
+     "code = chr(49 + top)\n"),
+    ("merge flushes site j too", SEARCH,
+     "for s in range(m, j, -1):",
+     "for s in range(m, j - 1, -1):"),
+    ("merge flushes sites in ascending order", SEARCH,
+     "for s in range(m, j, -1):",
+     "for s in range(j + 1, m + 1):"),
+    ("merge lcp one short", SEARCH,
+     "while prev[:j] != word[:j]:",
+     "while prev[:j + 1] != word[:j + 1]:"),
+    ("merge makes no final flush", SEARCH,
+     "for s in range(m, -1, -1):",
+     "for s in ():"),
+    ("merge final flush in ascending order", SEARCH,
+     "for s in range(m, -1, -1):",
+     "for s in range(m + 1):"),
+    ("merge pending list not cleared", SEARCH,
+     "slots[s].clear()",
+     "pass"),
     ("visitor called at n = 0 under a target", SEARCH,
      "if sizes[0] and visit is not None:",
      "if visit is not None:"),
@@ -170,7 +195,7 @@ def _limit_memory() -> None:
 def run_tier1(tree: Path) -> tuple[int | None, str, float]:
     """Run the Tier-1 command in tree: (exit code or None on timeout, pytest's summary line, seconds)."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     start = time.monotonic()
     with subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
                           preexec_fn=_limit_memory, start_new_session=True) as proc:
