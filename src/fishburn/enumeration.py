@@ -24,11 +24,13 @@ ones (the active sites of West, and of Marinov and Radoicic).
 A member is its word, one character chr(48 + v) per value v ("213"), which
 sorts as its value tuple does; `fishburn.perm.word_values` decodes it.  One
 rule grows a member; every query filter is a mask of sites ANDed into its
-live sites.  `search` applies it depth first and tallies each level by
-popcounts of that mask.  `members` applies it size by size in lexicographic
-order, merging the children of consecutive parents, so it hands out words
-as it walks and sorts nothing.  Caps default to 14 for counting and 10 for
-member lists; they are arguments, and the only length limits.
+live sites.  `search` only counts: it applies the rule depth first and
+tallies each level by popcounts of that mask, building no member of the
+last size.  `members`, the one walk that lists, applies it size by size in
+lexicographic order, merging the children of consecutive parents, so it
+hands out words as it walks and sorts nothing.  Caps default to 14 for
+counting and 10 for member lists; they are arguments, and the only length
+limits.
 """
 
 from __future__ import annotations
@@ -202,44 +204,30 @@ def _grower(query: AvoidanceQuery):
     return grow, target
 
 
-def search(
-    query: AvoidanceQuery, visit: Callable[[str], None] | None, *, cap: int = DEFAULT_COUNT_CAP
-) -> tuple[list[int], list[int], list[int]]:
-    """Visit every member once, in generating-tree order: depth first, the
-    children of a member (its new maximum at each site) left to right, not
-    lexicographic.  visit, when set, is passed each member's word.  Returns
-    (sizes, first, second), one count per size 0..n: sizes[n] is the number
-    of members, first[n] and second[n] those with entry 1 at position 1 and
-    at 2; the comment at the tally says what the lower entries count."""
+def search(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> tuple[list[int], list[int], list[int]]:
+    """Count the members of every size 0..n in one depth-first walk of the
+    generating tree, which builds no member of size n (`members` lists
+    them).  Returns (sizes, first, second), one count per size 0..n:
+    sizes[n] is the number of members, first[n] and second[n] those with
+    entry 1 at position 1 and at 2; the comment at the tally says what the
+    lower entries count."""
     check_cap(query.n, cap)
     n = query.n
     grow, target = _grower(query)
     sizes = [int(target < 0)] + [0] * n  # the root, the empty member, has no entry 1
     first, second = [0] * (n + 1), [0] * (n + 1)
     if n == 0:
-        if sizes[0] and visit is not None:
-            visit("")
         return sizes, first, second
 
-    # Every site's slot is the one list kids, so it takes a member's
-    # children left to right: leaves, visited in turn, or inner members,
-    # pushed right to left, so that the stack pops them in tree order.
+    # Every site's slot is the stack itself, so grow pushes an inner
+    # member's children straight onto it; at the last level it only counts.
     splits = (first, second)
     stack = [(0, "", [], 0)]
-    kids: list = []
-    every = [kids] * n
-    leaves = every if visit else None
+    every = [stack] * n
     while stack:
         m, word, inv, dead = stack.pop()
         top = m + 1
-        live = grow(m, word, inv, dead, every if top < n else leaves)
-        if kids:
-            if top < n:
-                stack += reversed(kids)
-            else:
-                for leaf in kids:
-                    visit(leaf)
-            kids.clear()
+        live = grow(m, word, inv, dead, every if top < n else None)
         # Each member is counted where its parent makes it, by popcounts of
         # live: made children, the low ones with entry 1 at one + 1, the rest
         # at one.  Without a prefix sizes[m] is the class count at m, split
@@ -260,7 +248,7 @@ def search(
 
 def count(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> int:
     """Exact cardinality of the class described by the query."""
-    return search(query, None, cap=cap)[0][-1]
+    return search(query, cap=cap)[0][-1]
 
 
 def members(
@@ -271,9 +259,8 @@ def members(
     to out in batches of BATCH words or more (the last may hold fewer)."""
     check_cap(query.n, cap)
     n = query.n
-    found: list[str] = []
-    if n == 0:
-        search(query, found.append)
+    # The loop grows sizes 1..n; the empty member, alone at n = 0, has no entry 1.
+    found: list[str] = [""] if n == 0 and query.one_position is None else []
     grow = _grower(query)[0]
     # The members of size m arrive in lexicographic order, and each parent
     # P puts its child P^s = P[:s] + max + P[s:] on the list of site s.  As

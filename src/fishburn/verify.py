@@ -103,7 +103,7 @@ def _class_sizes(patterns: PatternSet, max_n: int) -> tuple[list[int], list[int]
     2.  Every suite's rows share it.  The keys come only from the claim
     tables and REDUCTION_SIGMAS, 28 per max_n, so the memo stays small.
     Callers only read the lists."""
-    return search(AvoidanceQuery(max_n, patterns), None, cap=max_n)
+    return search(AvoidanceQuery(max_n, patterns), cap=max_n)
 
 
 def _verify_rows(

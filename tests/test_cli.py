@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from fishburn import AvoidanceQuery, PatternSet, members
 from fishburn.cli import main
-from fishburn.enumeration import search
 from fishburn.perm import word_values
 from fishburn.verify import format_structured, run_suite
 
@@ -131,16 +130,16 @@ def test_list_prints_three_digit_values():
     # Three-digit fields, and word characters past ASCII (chr(48 + v) for v >= 80).
     query = AvoidanceQuery(100, PatternSet.parse("132,213,321"))
     # |Av_n(132, 213, 321)| = n.  A kernel fault that lets this class grow
-    # would keep `list` walking for minutes, so a first walk stops at the
-    # member past the 100th.
-    seen = []
+    # would keep `list` walking for minutes, so a first listing stops at the
+    # first batch that takes it past 100 members.
+    seen = 0
 
-    def visit(word):
-        seen.append(word)
-        assert len(seen) <= 100, "more than n members"
+    def guard(batch):
+        nonlocal seen
+        seen += len(batch)
+        assert seen <= 100, "more than n members"
 
-    search(query, visit, cap=100)
-    assert len(seen) == 100
+    assert members(query, cap=100, out=guard) == 100
     out = _list_stdout(["--avoid", "132,213,321", "-n", "100", "--cap", "100"])
     assert out.splitlines(keepends=True) == _member_lines(query)
 

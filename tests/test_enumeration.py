@@ -66,18 +66,6 @@ def test_members_examples():
     ]
 
 
-def test_search_passes_words_to_visit():
-    # A member is its word, one character chr(48 + v) per value v; the empty
-    # member's word is "".
-    seen = []
-    search(AvoidanceQuery(0, PatternSet()), seen.append)
-    assert seen == [""]
-    seen = []
-    search(AvoidanceQuery(4, _ps("321,1243"), one_position=2), seen.append)
-    assert seen and all(type(word) is str for word in seen)
-    assert sorted(seen) == ["2134", "2143", "3124", "3142", "4123"]
-
-
 @pytest.mark.parametrize("n", [10, 11])
 def test_words_past_nine_sort_and_decode_as_value_tuples(n):
     # Values 10 and 11 are the characters ':' and ';', which follow '9', so
@@ -106,16 +94,19 @@ def test_a_word_past_latin_1_decodes():
 
 @pytest.mark.parametrize("row", TABLE_ROWS, ids=lambda r: r.row_id)
 def test_members_equal_the_sorted_visits_past_the_oracle(row):
-    # n = 11 lies past the oracle's reach; the depth-first walk is the
-    # reference for the merge's order, and its output comes in batches.
-    # The count comes first, so that a kernel fault that lets the class
-    # grow fails here and does not list a class of a million members.
+    # n = 11 lies past the oracle's reach.  The list must be strictly
+    # increasing, as long as the count, and each word less its maximum ';'
+    # (chr(48 + 11)) must be a member of size 10; its output comes in
+    # batches.  The count comes first, so that a kernel fault that lets the
+    # class grow fails here and does not list a class of a million members.
     q = AvoidanceQuery(11, row.patterns)
-    assert count(q, cap=11) == eval_row(row, 11)
-    seen = []
-    search(q, seen.append, cap=11)
+    size = count(q, cap=11)
+    assert size == eval_row(row, 11)
     got = members(q, cap=11)
-    assert got == sorted(seen)
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert len(got) == size
+    parents = set(members(AvoidanceQuery(10, row.patterns)))
+    assert all(word.replace(";", "") in parents for word in got)
     batches = []
     assert members(q, cap=11, out=batches.append) == len(got)
     assert [word for batch in batches for word in batch] == got
@@ -181,14 +172,13 @@ def test_one_beyond_first_two_positions_occurs_without_321():
 
 def test_search_visit_count_matches_count():
     q = AvoidanceQuery(6, _ps("321,14253"))
-    seen = []
-    assert search(q, seen.append)[0][-1] == 48
-    assert len(seen) == count(q) == 48
-    assert search(AvoidanceQuery(5, _ps("321,31452")), None)[0] == [1, 1, 2, 4, 9, 21]
+    assert search(q)[0][-1] == 48
+    assert len(members(q)) == count(q) == 48
+    assert search(AvoidanceQuery(5, _ps("321,31452")))[0] == [1, 1, 2, 4, 9, 21]
 
 
 def test_one_walk_counts_the_fishburn_numbers_at_every_size():
-    sizes = search(AvoidanceQuery(10, PatternSet(fishburn=True)), None)[0]
+    sizes = search(AvoidanceQuery(10, PatternSet(fishburn=True)))[0]
     assert sizes == list(fishburn_series(10))
     # A count by ascent sequences shares no code with the kernel.
     assert sizes == ascent.counts(10)
@@ -199,7 +189,7 @@ def test_one_walk_splits_every_size_by_the_position_of_one(row):
     # One unpruned walk tallies, at every size, the members with entry 1 at
     # position 1 and at position 2; the pruned one_position walks and the
     # brute-force filter must agree with both splits.
-    _, first, second = search(AvoidanceQuery(9, row.patterns), None, cap=9)
+    _, first, second = search(AvoidanceQuery(9, row.patterns), cap=9)
     for n in range(10):
         assert first[n] == count(AvoidanceQuery(n, row.patterns, one_position=1)), n
         assert second[n] == count(AvoidanceQuery(n, row.patterns, one_position=2)), n
@@ -211,20 +201,22 @@ def test_one_walk_splits_every_size_by_the_position_of_one(row):
 
 def test_split_lists_of_the_empty_member_and_of_pruned_walks():
     for ps in (PatternSet(), PatternSet(fishburn=True), _ps("321,1243")):
-        assert search(AvoidanceQuery(0, ps), None) == ([1], [0], [0])
-        assert search(AvoidanceQuery(1, ps), None) == ([1, 1], [0, 1], [0, 0])
+        assert search(AvoidanceQuery(0, ps)) == ([1], [0], [0])
+        assert search(AvoidanceQuery(1, ps)) == ([1, 1], [0, 1], [0, 0])
         # A one_position query's members all sit in its own split.
-        assert search(AvoidanceQuery(1, ps, one_position=1), None) == ([0, 1], [0, 1], [0, 0])
-        assert search(AvoidanceQuery(1, ps, one_position=2), None) == ([0, 0], [0, 0], [0, 0])
+        assert search(AvoidanceQuery(1, ps, one_position=1)) == ([0, 1], [0, 1], [0, 0])
+        assert search(AvoidanceQuery(1, ps, one_position=2)) == ([0, 0], [0, 0], [0, 0])
     at_first, at_second, none = [0, 1, 1, 2, 3, 4], [0, 0, 1, 2, 5, 10], [0] * 6
     ps = _ps("321,1243")
-    assert search(AvoidanceQuery(5, ps, one_position=1), None) == (at_first, at_first, none)
-    assert search(AvoidanceQuery(5, ps, one_position=2), None) == (at_second, none, at_second)
+    assert search(AvoidanceQuery(5, ps, one_position=1)) == (at_first, at_first, none)
+    assert search(AvoidanceQuery(5, ps, one_position=2)) == (at_second, none, at_second)
 
 
-def test_search_visit_order_is_pinned():
-    # Generating-tree order (depth first, sites left to right), recorded
-    # from the recursive kernel the explicit-stack walk replaced.
+def test_member_lists_are_pinned():
+    # Unfiltered Fishburn, one_position, non-Fishburn and prefix-negation
+    # queries.  The digest of their lists was recorded while a second,
+    # depth-first listing walk still checked the merge; each list is as
+    # long as its query's count.
     queries = [
         AvoidanceQuery(8, PatternSet(fishburn=True)),
         AvoidanceQuery(9, _ps("321,1243"), one_position=2),
@@ -233,13 +225,10 @@ def test_search_visit_order_is_pinned():
     ]
     digest = hashlib.sha256()
     for q in queries:
-        seen = []
-        result = search(q, seen.append, cap=q.n)
-        # The tally and the visitor read one mask of sites in two places.
-        assert result == search(q, None, cap=q.n)
-        assert len(seen) == result[0][-1]
-        digest.update(repr([word_values(word) for word in seen]).encode())
-    assert digest.hexdigest() == "c7510dab1193f053cf07de7ece100f1e257cc23191dfda3b2457749ad878c51f"
+        got = members(q, cap=q.n)
+        assert len(got) == count(q, cap=q.n)
+        digest.update(repr(got).encode())
+    assert digest.hexdigest() == "c7b0d67ca76e7fe8c1ad183a0ee8732ffd615954aca554fbe8aec1bbb4665f97"
 
 
 def test_search_never_visits_non_members():
@@ -313,9 +302,7 @@ def test_query_validation():
 
 def test_one_position_unsatisfiable_cases():
     assert count(AvoidanceQuery(0, PatternSet(), one_position=1)) == 0
-    seen = []
-    assert search(AvoidanceQuery(0, PatternSet(), one_position=1), seen.append) == ([0], [0], [0])
-    assert seen == []
+    assert search(AvoidanceQuery(0, PatternSet(), one_position=1)) == ([0], [0], [0])
     assert members(AvoidanceQuery(0, PatternSet(), one_position=1)) == []
     assert count(AvoidanceQuery(1, PatternSet(), one_position=2)) == 0
     assert members(AvoidanceQuery(1, _ps("321"), one_position=2)) == []
@@ -418,13 +405,9 @@ def test_kernel_matches_oracle_on_random_queries(n, texts, fishburn, one_positio
     q = AvoidanceQuery(n, ps, **filters)
     assert count(q) == oracle.count(n, bodies, fishburn=fishburn, **filters)
     assert _listed(q) == oracle.members(n, bodies, fishburn=fishburn, **filters)
-    # The merge behind `members` against the sorted visits of the walk.
-    seen = []
-    search(q, seen.append)
-    assert members(q) == sorted(seen)
     # Without a prefix one walk counts the query, and splits it by where
     # entry 1 sits, at every size up to n; with one, only index n counts it.
-    sizes, first, second = search(q, None)
+    sizes, first, second = search(q)
     for m in range(n + 1) if not prefix else [n]:
         assert sizes[m] == oracle.count(m, bodies, fishburn=fishburn, **filters), m
         for position, split in ((1, first), (2, second)):
@@ -453,7 +436,7 @@ def test_inherited_dead_sites_match_oracle_at_every_size(n, texts, with_321, fis
     prefix = tuple(data.draw(st.lists(st.integers(1, n), unique=True, max_size=n))) if n else ()
     prefix_negation = bool(prefix) and data.draw(st.booleans())
     filters = dict(one_position=one_position, prefix=prefix, prefix_negation=prefix_negation)
-    sizes = search(AvoidanceQuery(n, ps, **filters), None, cap=n)[0]
+    sizes = search(AvoidanceQuery(n, ps, **filters), cap=n)[0]
     for m in range(n + 1) if not prefix else [n]:
         assert sizes[m] == oracle.count(m, bodies, fishburn=fishburn, **filters), m
 
@@ -494,7 +477,7 @@ def test_the_target_prune_expands_no_member_with_entry_1_past_the_target(monkeyp
     # for 1243, and those have entry 1 at or before the target.
     ps = _ps("321,1243")
     n = 8
-    _, first, second = search(AvoidanceQuery(n, ps), None)
+    _, first, second = search(AvoidanceQuery(n, ps))
     calls = 0
     matcher = enumeration.occurs_ending_at
 
@@ -601,9 +584,7 @@ def test_size_one_pattern_and_full_length_prefix():
 
 def test_visited_values_are_distinct_permutations():
     q = AvoidanceQuery(4, _ps("321,1243"))
-    out = []
-    search(q, out.append)
-    out = [word_values(word) for word in out]
+    out = _listed(q)
     assert all(sorted(word) == [1, 2, 3, 4] for word in out)
     assert len(set(out)) == len(out) == count(q)
 
