@@ -33,10 +33,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-# `list` formats and writes this many lines at a time: `width + 2` C passes
-# and one write per chunk, and a buffer of one chunk's bytes, not a batch's.
-_LIST_CHUNK_LINES = 4096
-
 _FORMATTERS = {
     "plain": format_plain,
     "delimited": format_delimited,
@@ -97,18 +93,19 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    """Print each member as its values separated by single spaces, in the
-    batches `members` hands out as it walks.
+    """Print each member as its values separated by single spaces, one
+    write per batch of `enumeration.BATCH` words that `members` hands out as
+    it walks, so the buffer below holds one batch's bytes.
 
     Every member is a permutation of 1..n, so every line holds the same n
     values and can be laid out at a fixed width: n fields of `width + 1`
     bytes, each value's digits right-aligned in its first `width` bytes with
-    NUL in front, then a separator.  A chunk is formatted by slice
+    NUL in front, then a separator.  A batch is formatted by slice
     assignment: digit column j of every field at once from one
-    `str.translate` of the chunk's joined words (one character to one ASCII
+    `str.translate` of the batch's joined words (one character to one ASCII
     character, CPython's fast path), the last separator of each line turned
     into a newline, and the NUL padding deleted: `width + 2` C passes per
-    chunk.  From n = 80 on a word holds characters past ASCII, and
+    batch.  From n = 80 on a word holds characters past ASCII, and
     `str.translate` takes its slower path, with the same result.
     """
     query = _build_query(args)
@@ -120,18 +117,16 @@ def cmd_list(args: argparse.Namespace) -> int:
     # columns[j] maps a word's chr(48 + v) to v's digit in column j, or NUL.
     columns = [{48 + v: str(v).rjust(width, "\0")[j] for v in range(1, n + 1)} for j in range(width)]
 
-    def write(found: list[str]) -> None:
+    def write(batch: list[str]) -> None:
         if n == 0:
-            out.write("\n" * len(found))  # each member is the empty permutation
+            out.write("\n" * len(batch))  # each member is the empty permutation
             return
-        for start in range(0, len(found), _LIST_CHUNK_LINES):
-            chunk = found[start:start + _LIST_CHUNK_LINES]
-            text = "".join(chunk)
-            buf = bytearray((b"\0" * width + b" ") * len(text))
-            for j, column in enumerate(columns):
-                buf[j::field] = text.translate(column).encode("ascii")
-            buf[line - 1::line] = b"\n" * len(chunk)
-            out.write(buf.translate(None, b"\0").decode("ascii"))
+        text = "".join(batch)
+        buf = bytearray((b"\0" * width + b" ") * len(text))
+        for j, column in enumerate(columns):
+            buf[j::field] = text.translate(column).encode("ascii")
+        buf[line - 1::line] = b"\n" * len(batch)
+        out.write(buf.translate(None, b"\0").decode("ascii"))
 
     with _open_output(args.output) as out:
         members(query, cap=args.cap, out=write)

@@ -44,7 +44,7 @@ from fishburn.perm import Permutation, _Record
 
 DEFAULT_COUNT_CAP = 14
 DEFAULT_LIST_CAP = 10
-BATCH = 4096  # `members` hands words to `out` this many or more at a time, but at the end
+BATCH = 4096  # `members` hands words to `out` exactly this many at a time, but at the end
 
 _PATTERN_321 = (3, 2, 1)
 
@@ -85,10 +85,13 @@ class AvoidanceQuery(_Record):
                 raise ValueError(f"prefix value {v} outside 1..{self.n}")
 
 
-def check_cap(n: int, cap: int) -> None:
-    """Raise CapacityError when the length n exceeds cap."""
+def check_cap(n: int, cap: int, name: str = "n") -> None:
+    """The one length rule: ValueError when n, called name in the message,
+    is negative, CapacityError when it exceeds cap."""
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative")
     if n > cap:
-        raise CapacityError(f"n={n} exceeds the cap of {cap}")
+        raise CapacityError(f"{name}={n} exceeds the cap of {cap}")
 
 
 def _lands(inv: list[int], top: int, value: int, index: int) -> int:
@@ -256,7 +259,7 @@ def members(
 ) -> list[str] | int:
     """The words of every member of the class, in lexicographic order, as a
     list; or, with out, their number, once the merge below has handed them
-    to out in batches of BATCH words or more (the last may hold fewer)."""
+    to out in batches of exactly BATCH words (the last may hold fewer)."""
     check_cap(query.n, cap)
     n = query.n
     # The loop grows sizes 1..n; the empty member, alone at n = 0, has no entry 1.
@@ -304,10 +307,10 @@ def members(
                 into += slots[s]
             pending[m] = None
             ended = m = m + 1
-        if out is not None and len(found) >= BATCH:
-            out(found)
-            handed += len(found)
-            found = []
+        while out is not None and len(found) >= BATCH:
+            out(found[:BATCH])
+            del found[:BATCH]
+            handed += BATCH
     if out is not None and found:
         out(found)
     return found if out is None else handed + len(found)

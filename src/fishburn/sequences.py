@@ -12,7 +12,7 @@ from collections.abc import Callable
 from enum import Enum
 from math import comb
 
-from fishburn.enumeration import CapacityError
+from fishburn.enumeration import check_cap
 from fishburn.patterns import PatternSet
 from fishburn.perm import _Record
 
@@ -162,10 +162,7 @@ def fishburn_series(degree: int) -> tuple[int, ...]:
     >>> fishburn_series(5)
     (1, 1, 2, 5, 15, 53)
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > SERIES_CAP:
-        raise CapacityError(f"degree {degree} exceeds the series cap of {SERIES_CAP}")
+    check_cap(degree, SERIES_CAP, "degree")
     coeffs = [1] + [0] * degree
     product = [1]  # prod_{j<=i} (1 - (1-t)^j)
     for i in range(1, degree + 1):

@@ -15,7 +15,7 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 from math import comb
 
-from fishburn.enumeration import DEFAULT_COUNT_CAP, AvoidanceQuery, CapacityError, count, members, search
+from fishburn.enumeration import DEFAULT_COUNT_CAP, AvoidanceQuery, check_cap, count, members, search
 from fishburn.patterns import PatternSet
 from fishburn.perm import _Record, complement, left_to_right_maxima, word_values
 from fishburn.sequences import (
@@ -71,13 +71,6 @@ def _finish(suite: str, records: list[CheckRecord]) -> VerificationReport:
     return VerificationReport(suite, tuple(records), passed)
 
 
-def _check_cap(max_n: int, cap: int, what: str) -> None:
-    if max_n > cap:
-        raise CapacityError(f"max_n={max_n} exceeds the {what} cap of {cap}")
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-
-
 DECOMPOSITION_CHECKS: tuple[SequenceRow, ...] = (
     claim("321,1243", lambda n: n * n - 4 * n + 5, 2, one_position=2),
     claim("321,2134", lambda n: 2 * n - 4, 3, one_position=2),
@@ -112,7 +105,7 @@ def _verify_rows(
     """One report per row: its class sizes (or the split its one_position
     names) against its closed form for first_n <= n <= max_n, asserted from
     valid_from on.  Rows on one pattern set share one walk."""
-    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
+    check_cap(max_n, DEFAULT_COUNT_CAP, "max_n")
     reports = []
     for row in rows:
         # Index 0 is the class count, 1 and 2 the position-of-1 splits.
@@ -148,7 +141,7 @@ def verify_lemmas(max_n: int) -> VerificationReport:
     A = B iff |A| = |A∩B| = |B|.  A is the 321,σ-avoiding Fishburn class,
     B the 231,321,σ-avoiding class, and A∩B the 231,321,σ-avoiding Fishburn
     class, each one memoised walk."""
-    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
+    check_cap(max_n, DEFAULT_COUNT_CAP, "max_n")
     records = []
     total, first, second = _class_sizes(PatternSet.parse("321", fishburn=True), max_n)
     for n in range(1, max_n + 1):
@@ -170,7 +163,7 @@ WILF_CLASS_B = "213,123,231"
 def verify_wilf_complement(max_n: int) -> VerificationReport:
     """Complementation maps the 231,321,213-avoiders bijectively onto the
     213,123,231-avoiders, so the two classes are equinumerous for every n."""
-    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
+    check_cap(max_n, DEFAULT_COUNT_CAP, "max_n")
     records = []
     class_a = PatternSet.parse(WILF_CLASS_A)
     class_b = PatternSet.parse(WILF_CLASS_B)
@@ -186,7 +179,7 @@ def verify_lrmax_bijection(max_n: int) -> VerificationReport:
     """On the 321,3142-avoiding Fishburn class, taking left-to-right maxima
     is injective and its image is exactly the subsets of {1..n} containing n
     (2^(n-1) of them)."""
-    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
+    check_cap(max_n, DEFAULT_COUNT_CAP, "max_n")
     records = []
     patterns = PatternSet.parse("321,3142", fishburn=True)
     for n in range(1, max_n + 1):
@@ -205,7 +198,7 @@ def verify_prefix_claims(max_n: int) -> VerificationReport:
     """Prefix-constrained counts in the 321,21354-avoiding Fishburn class:
     members opening with k,1 and then not 2 number C(n-2, k-1), and n,1
     opens exactly one member."""
-    _check_cap(max_n, DEFAULT_COUNT_CAP, "enumeration")
+    check_cap(max_n, DEFAULT_COUNT_CAP, "max_n")
     records = []
     patterns = PatternSet.parse("321,21354", fishburn=True)
     for n in range(2, max_n + 1):
@@ -227,7 +220,7 @@ def verify_identities(max_n: int) -> list[VerificationReport]:
     The nested sum makes the run time grow about twentyfold per doubling of
     max_n, so max_n is held to the series cap.
     """
-    _check_cap(max_n, SERIES_CAP, "identity")
+    check_cap(max_n, SERIES_CAP, "max_n")
     reports = []
     for identity in PellIdentity:
         records = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 import ascent
 import oracle
-from fishburn import enumeration
+from fishburn import enumeration, verify
 from fishburn.enumeration import (
+    DEFAULT_COUNT_CAP,
+    DEFAULT_LIST_CAP,
     AvoidanceQuery,
     CapacityError,
     count,
@@ -22,7 +25,7 @@ from fishburn.enumeration import (
 )
 from fishburn.patterns import ClassicalPattern, PatternSet, occurs_ending_at, parse_pattern
 from fishburn.perm import Permutation, word_values
-from fishburn.sequences import TABLE_ROWS, eval_row, fishburn_series, q_value
+from fishburn.sequences import SERIES_CAP, TABLE_ROWS, eval_row, fishburn_series, q_value
 from fishburn.verify import run_suite
 
 
@@ -115,9 +118,10 @@ def test_members_equal_the_sorted_visits_past_the_oracle(row):
 def test_members_hand_out_their_first_batch_early(monkeypatch):
     # Every member the merge grows looks its live sites up once in `_bits`,
     # so its calls count the walk's progress.  The 31,240 Fishburn
-    # permutations of length 9 come in 6 batches, the first after 1,323 of
-    # the 6,643 members grown (a walk that sorts at the end would hand it
-    # out after the last); the bound leaves room for other batch sizes.
+    # permutations of length 9 come in 8 batches, all but the last of
+    # exactly BATCH words, the first after 1,319 of the 6,643 members grown
+    # (a walk that sorts at the end would hand it out after the last); the
+    # bound leaves room for other batch sizes.
     grown = 0
     bits = enumeration._bits
 
@@ -137,7 +141,7 @@ def test_members_hand_out_their_first_batch_early(monkeypatch):
     q = AvoidanceQuery(9, PatternSet(fishburn=True))
     assert members(q, cap=9, out=out) == 31240
     assert len(batches) >= 5 and at[0] <= grown // 4
-    assert all(len(batch) >= enumeration.BATCH for batch in batches[:-1])
+    assert all(len(batch) == enumeration.BATCH for batch in batches[:-1])
     assert [word for batch in batches for word in batch] == members(q, cap=9)
 
 
@@ -170,7 +174,7 @@ def test_one_beyond_first_two_positions_occurs_without_321():
     assert other == sum(1 for word in got if word.index(1) >= 2)
 
 
-def test_search_visit_count_matches_count():
+def test_search_counts_agree_with_members_and_count():
     q = AvoidanceQuery(6, _ps("321,14253"))
     assert search(q)[0][-1] == 48
     assert len(members(q)) == count(q) == 48
@@ -231,7 +235,7 @@ def test_member_lists_are_pinned():
     assert digest.hexdigest() == "c7b0d67ca76e7fe8c1ad183a0ee8732ffd615954aca554fbe8aec1bbb4665f97"
 
 
-def test_search_never_visits_non_members():
+def test_members_lists_only_members():
     q = AvoidanceQuery(6, _ps("321,21354"))
     for word in _listed(q):
         assert oracle.is_member(word, [(3, 2, 1), (2, 1, 3, 5, 4)], fishburn=True)
@@ -317,6 +321,32 @@ def test_capacity_errors_and_overrides():
         members(AvoidanceQuery(11, _ps("321,132")))
     assert count(AvoidanceQuery(15, _ps("321,132")), cap=15) == 15
     assert len(members(AvoidanceQuery(11, _ps("321,132")), cap=11)) == 11
+
+
+@pytest.mark.parametrize(
+    ("entry", "name", "cap"),
+    [
+        pytest.param(lambda n: count(AvoidanceQuery(n, _ps("12"))), "n", DEFAULT_COUNT_CAP, id="count"),
+        pytest.param(lambda n: members(AvoidanceQuery(n, _ps("12"))), "n", DEFAULT_LIST_CAP, id="members"),
+        pytest.param(lambda n: search(AvoidanceQuery(n, _ps("12"))), "n", DEFAULT_COUNT_CAP, id="search"),
+        pytest.param(verify.verify_table, "max_n", DEFAULT_COUNT_CAP, id="table"),
+        pytest.param(verify.verify_decompositions, "max_n", DEFAULT_COUNT_CAP, id="decompositions"),
+        pytest.param(verify.verify_lemmas, "max_n", DEFAULT_COUNT_CAP, id="lemmas"),
+        pytest.param(verify.verify_wilf_complement, "max_n", DEFAULT_COUNT_CAP, id="wilf"),
+        pytest.param(verify.verify_lrmax_bijection, "max_n", DEFAULT_COUNT_CAP, id="lrmax"),
+        pytest.param(verify.verify_prefix_claims, "max_n", DEFAULT_COUNT_CAP, id="prefix"),
+        pytest.param(verify.verify_identities, "max_n", SERIES_CAP, id="identities"),
+        pytest.param(fishburn_series, "degree", SERIES_CAP, id="series"),
+    ],
+)
+def test_one_length_rule_at_every_entry_point(entry, name, cap):
+    # `check_cap` is the one length rule: one past the cap is refused by
+    # name, and so is a negative length (a query of length -1 already when
+    # it is built).
+    with pytest.raises(CapacityError, match=re.escape(f"{name}={cap + 1} exceeds the cap of {cap}")):
+        entry(cap + 1)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        entry(-1)
 
 
 def test_search_depth_does_not_depend_on_the_caller_stack():
@@ -582,7 +612,7 @@ def test_size_one_pattern_and_full_length_prefix():
     assert count(AvoidanceQuery(3, ps, prefix=(1, 2, 3), prefix_negation=True)) == 0
 
 
-def test_visited_values_are_distinct_permutations():
+def test_listed_words_are_distinct_permutations():
     q = AvoidanceQuery(4, _ps("321,1243"))
     out = _listed(q)
     assert all(sorted(word) == [1, 2, 3, 4] for word in out)

@@ -1,14 +1,15 @@
 """Check that the Tier-1 tests kill every kernel and list-formatter mutant in MUTANTS.
 
 Each mutant is one edit to a file of the kernel, the per-member rule, the
-count walk and the lexicographic merge in src/fishburn/enumeration.py or the
-anchored matcher and kill pass they call in src/fishburn/patterns.py, or to
-the fixed-width formatter of `fishburn list` in src/fishburn/cli.py: the
-file, a text that must occur there exactly once, and the text put in its
-place.  For each mutant the tool copies the parts of the checkout the tests
-read (src, tests, perfbench, pyproject.toml and README.md) to a temporary
-directory, applies the edit to the copy and runs the Tier-1 command there,
-stopped at its first failing test (-x):
+count walk, the lexicographic merge and its batches, and the length rule
+`check_cap` in src/fishburn/enumeration.py or the anchored matcher and kill
+pass they call in src/fishburn/patterns.py, or to the fixed-width formatter
+of `fishburn list` in src/fishburn/cli.py: the file, a text that must
+occur there exactly once, and the text put in its place.  For each mutant
+the tool copies the parts of the checkout the tests read (src, tests,
+perfbench, pyproject.toml and README.md) to a temporary directory,
+applies the edit to the copy and runs the Tier-1 command there, stopped at
+its first failing test (-x):
 
     PYTHONPATH=src python -m pytest -q -x --continue-on-collection-errors
 
@@ -158,6 +159,15 @@ MUTANTS = [
     ("empty member listed under a target", SEARCH,
      'if n == 0 and query.one_position is None else',
      'if n == 0 else'),
+    ("batch one word long", SEARCH,
+     "out(found[:BATCH])",
+     "out(found[:BATCH + 1])"),
+    ("cap admits one past the cap", SEARCH,
+     "if n > cap:",
+     "if n > cap + 1:"),
+    ("negative length passes the cap rule", SEARCH,
+     "if n < 0:",
+     "if False:"),
     ("nearest smaller flipped", MATCHER,
      "lo = max((f for f in named if f[0] < value), default=(0, None))[1]",
      "lo = max((f for f in named if f[0] > value), default=(0, None))[1]"),
