@@ -19,7 +19,9 @@ occurrence of a classical pattern other than 321 that uses the new maximum
 is one of its inverse ending at the last index of the child's inverse.
 Each member carries the mask of its dead sites, where the new maximum makes
 an occurrence, and inherits its parent's; only its own maximum adds new
-ones (the active sites of West, and of Marinov and Radoicic).
+ones (the active sites of West, and of Marinov and Radoicic).  A member
+carries its inverse only for the checks of such patterns, which alone read
+all of it; every other rule reads one position, found in the member's word.
 
 A member is its word, one character chr(48 + v) per value v ("213"), which
 sorts as its value tuple does; `fishburn.perm.word_values` decodes it.  One
@@ -94,14 +96,14 @@ def check_cap(n: int, cap: int, name: str = "n") -> None:
         raise CapacityError(f"{name}={n} exceeds the cap of {cap}")
 
 
-def _lands(inv: list[int], top: int, value: int, index: int) -> int:
-    """The mask of sites whose child holds value at index.  inv is the
-    zero-based inverse of a member of size top - 1; its child made at site
-    s holds top at s, and a smaller value at p = inv[value - 1] at
-    p + (s <= p).  Bits past the last site are ANDed away with live."""
-    if value == top:
+def _lands(p: int, index: int) -> int:
+    """The mask of sites whose child holds a value at index, where p is the
+    value's index in the member's word, or -1 for the new maximum, as
+    str.find gives for a value not yet in it.  The child made at site s
+    holds the new maximum at s, and the value at p + (s <= p).  Bits past
+    the last site are ANDed away with live."""
+    if p < 0:
         return 1 << index
-    p = inv[value - 1]
     if p == index:
         return -(2 << p)
     return (2 << p) - 1 if p + 1 == index else 0
@@ -118,7 +120,9 @@ def _grower(query: AvoidanceQuery):
     the query wants entry 1 at, or -1.  grow(m, word, inv, dead, slots)
     takes a member of size m < n, appends each child, (m + 1, word, inv,
     dead) or a leaf's word (built only when slots is set), to slots[s] for
-    its site s, left to right, and returns live, the mask of those sites."""
+    its site s, left to right, and returns live, the mask of those sites.
+    inv, the zero-based inverse, is None unless a classical check other
+    than 321 reads it; every other rule finds its one index in the word."""
     n = query.n
     target = query.one_position - 1 if query.one_position else -1
     # Every filter is a mask of sites ANDed into live (below).  Deleting the
@@ -168,27 +172,31 @@ def _grower(query: AvoidanceQuery):
                 dead |= dead_sites(inv, m - 1, pattern)
         # live: the prefix's sites less the dead ones.  Insertions only move
         # entry 1 right, so once it sits at the target the sites at or left
-        # of it are cut (the root has no entry 1; no index is -1, unset).
+        # of it are cut (one is -1 at the root and without a target).
         live = sites[top] & ~dead
-        if m and inv[0] == target:
+        one = word.find("1") if target >= 0 else -1
+        if one == target >= 0:
             live &= -(2 << target)
         if top == n:
             # Leaves are whole members: the target keeps the sites that put
             # entry 1 at it, the ban cuts those that put ban_value in the
             # last prefix slot.
             if target >= 0:
-                live &= _lands(inv, top, 1, target)
+                live &= _lands(one, target)
             if ban_value:
-                live &= ~_lands(inv, top, ban_value, len(prefix) - 1)
+                live &= ~_lands(word.find(chr(48 + ban_value)), len(prefix) - 1)
             if slots is not None:
                 code = chr(48 + top)  # the new maximum's character in a word
                 for s in _bits(live):
                     slots[s].append(word[:s] + code + word[s:])
             return live
         code = chr(48 + top)
+        peak = word.find(chr(47 + top))  # the old maximum's index, -1 at the root
+        child = None  # only the classical checks read a member's inverse
         for s in _bits(live):
-            child = [p + (p >= s) for p in inv]
-            child.append(s)
+            if checks:
+                child = [p + 1 if p >= s else p for p in inv]
+                child.append(s)
             mask = (dead & ((2 << s) - 1)) | ((dead >> s) << (s + 1))
             # 321: the new maximum can only be the 3, so a site is dead iff
             # a descent lies right of it.  Made left of the end, the child
@@ -199,7 +207,7 @@ def _grower(query: AvoidanceQuery):
             # the entry a left of it as the 2, and a-1 right of it.  Only the
             # child's site s + 1 gets a new left entry, top, so it is dead
             # iff m, the old maximum, lies right of top.
-            if fishburn and m and inv[m - 1] >= s:
+            if fishburn and peak >= s:
                 mask |= 2 << s
             slots[s].append((top, word[:s] + code + word[s:], child, mask))
         return live
@@ -238,9 +246,9 @@ def search(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> tuple[list
         # with entry 1 at the target, as does that split, since insertions
         # never move entry 1 left and the prunes cut only the others.  With
         # a prefix only index n counts the query.
-        one = inv[0] if m else -1
+        one = word.find("1")
         made = live.bit_count()
-        low = (live & _lands(inv, top, 1, one + 1)).bit_count()
+        low = (live & _lands(one, one + 1)).bit_count()
         for j, c in ((one, made - low), (one + 1, low)) if m else ((0, made),):
             if target < 0 or j == target:
                 sizes[top] += c

@@ -640,18 +640,19 @@ def test_members_build_no_permutation_objects(monkeypatch):
 
 
 def test_lands_is_the_set_of_sites_that_put_a_value_at_an_index():
-    # Every word of size m <= 6, every value and every index: the mask
-    # must equal the sites whose child, built by inserting m + 1 there,
-    # holds the value at the index.
+    # Every word of size m <= 6, every value and every index: the mask of
+    # the value's index in the word, -1 for the new maximum m + 1, must
+    # equal the sites whose child, built by inserting m + 1 there, holds
+    # the value at the index.
     for m in range(7):
         sites = (2 << m) - 1
         for word in permutations(range(1, m + 1)):
-            inv = [word.index(v) for v in range(1, m + 1)]
             children = [word[:s] + (m + 1,) + word[s:] for s in range(m + 1)]
             for value in range(1, m + 2):
+                p = word.index(value) if value <= m else -1
                 for index in range(m + 1):
                     want = sum(1 << s for s, child in enumerate(children) if child[index] == value)
-                    assert enumeration._lands(inv, m + 1, value, index) & sites == want, (word, value, index)
+                    assert enumeration._lands(p, index) & sites == want, (word, value, index)
 
 
 @settings(deadline=None, max_examples=40)

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import ascent
-from fishburn.enumeration import AvoidanceQuery, CapacityError, count
+from fishburn.enumeration import AvoidanceQuery, count
 from fishburn.patterns import PatternSet
 from fishburn.sequences import (
     IDENTITY_MIN_N,
@@ -135,13 +135,6 @@ def test_series_matches_class_counts():
     coeffs = fishburn_series(6)
     for n in range(7):
         assert coeffs[n] == count(AvoidanceQuery(n, PatternSet(fishburn=True)))
-
-
-def test_series_caps_and_validation():
-    with pytest.raises(ValueError):
-        fishburn_series(-1)
-    with pytest.raises(CapacityError):
-        fishburn_series(65)
 
 
 def test_identity_examples():

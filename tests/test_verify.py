@@ -7,7 +7,6 @@ import pytest
 
 import oracle
 from fishburn import verify
-from fishburn.enumeration import CapacityError
 from fishburn.patterns import PatternSet
 from fishburn.verify import (
     DECOMPOSITION_CHECKS,
@@ -158,13 +157,6 @@ def test_run_suite_dispatch():
     assert len(run_suite("lemmas", 4)) == 1
     with pytest.raises(ValueError):
         run_suite("bogus", 4)
-
-
-def test_capacity_guard():
-    with pytest.raises(CapacityError):
-        verify_table(15)
-    with pytest.raises(CapacityError):
-        verify_identities(65)
 
 
 def _sample_reports():

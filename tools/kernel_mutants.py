@@ -58,32 +58,41 @@ MUTANTS = [
      "ban_value = prefix[-1] if query.prefix_negation else 0",
      "ban_value = 0"),
     ("Fishburn bit off by one", SEARCH,
-     "if fishburn and m and inv[m - 1] >= s:",
-     "if fishburn and m and inv[m - 1] > s:"),
+     "if fishburn and peak >= s:",
+     "if fishburn and peak > s:"),
+    ("Fishburn bit reads the new maximum's index", SEARCH,
+     "peak = word.find(chr(47 + top))",
+     "peak = word.find(chr(48 + top))"),
     ("Fishburn bit on the left flank", SEARCH,
      "mask |= 2 << s",
      "mask |= 1 << s"),
     ("ban in the slot before the last", SEARCH,
-     "_lands(inv, top, ban_value, len(prefix) - 1)",
-     "_lands(inv, top, ban_value, len(prefix) - 2)"),
+     "_lands(word.find(chr(48 + ban_value)), len(prefix) - 1)",
+     "_lands(word.find(chr(48 + ban_value)), len(prefix) - 2)"),
+    ("ban reads the value one below", SEARCH,
+     "word.find(chr(48 + ban_value))",
+     "word.find(chr(47 + ban_value))"),
     ("loose prefix sites", SEARCH,
      "sites.append(1 << sum(u < v for u in head[: head.index(v)]))",
      "sites.append((1 << v) - (1 << sum(u < v for u in head[: head.index(v)])))"),
     ("no leaf entry-1 check", SEARCH,
-     "live &= _lands(inv, top, 1, target)",
+     "live &= _lands(one, target)",
      "pass"),
     ("target cut on the wrong side", SEARCH,
-     "live &= _lands(inv, top, 1, target)",
-     "live &= ~_lands(inv, top, 1, target)"),
+     "live &= _lands(one, target)",
+     "live &= ~_lands(one, target)"),
     ("target prune one site too wide", SEARCH,
      "live &= -(2 << target)",
      "live &= -(4 << target)"),
     ("no target prune", SEARCH,
-     "if m and inv[0] == target:",
+     "if one == target >= 0:",
      "if False:"),
     ("root's entry 1 at index 0", SEARCH,
-     "if m and inv[0] == target:",
-     "if (inv[0] if m else 0) == target:"),
+     "if one == target >= 0:",
+     "if (one if m else 0) == target >= 0:"),
+    ("target prune without its guard", SEARCH,
+     "if one == target >= 0:",
+     "if one == target:"),
     ("new maximum lands one site off", SEARCH,
      "return 1 << index",
      "return 2 << index"),
@@ -94,8 +103,8 @@ MUTANTS = [
      "return (2 << p) - 1 if p + 1 == index else 0",
      "return -(2 << p) if p + 1 == index else 0"),
     ("low sites one short", SEARCH,
-     "low = (live & _lands(inv, top, 1, one + 1)).bit_count()",
-     "low = (live & (_lands(inv, top, 1, one + 1) >> 1)).bit_count()"),
+     "low = (live & _lands(one, one + 1)).bit_count()",
+     "low = (live & (_lands(one, one + 1) >> 1)).bit_count()"),
     ("pattern not inverted", SEARCH,
      "tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))",
      "w"),
@@ -105,6 +114,12 @@ MUTANTS = [
     ("head drops the first entry", SEARCH,
      "tuple(v - (v > b[-1]) for v in b[:-1])",
      "tuple(v - (v > b[0]) for v in b[1:])"),
+    ("child keeps its parent's inverse unshifted", SEARCH,
+     "child = [p + 1 if p >= s else p for p in inv]",
+     "child = list(inv)"),
+    ("inverse carried without a check", SEARCH,
+     "if checks:",
+     "if True:"),
     ("dead mask mis-shifted", SEARCH,
      "((dead >> s) << (s + 1))",
      "((dead >> s) << s)"),
