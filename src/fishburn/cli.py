@@ -68,6 +68,7 @@ def _add_query_arguments(parser: argparse.ArgumentParser, default_cap: int) -> N
 
 
 def _build_query(args: argparse.Namespace) -> AvoidanceQuery:
+    check_cap(args.n, args.cap)  # first: a bad -n is named as such, and -o FILE is not yet open
     patterns = PatternSet.parse(args.avoid, fishburn=args.fishburn)
     # Compact digits name values up to 9, so from n = 10 on `12` is one value.
     prefix = parse_values(args.prefix, compact=args.n <= 9)
@@ -109,7 +110,6 @@ def cmd_list(args: argparse.Namespace) -> int:
     `str.translate` takes its slower path, with the same result.
     """
     query = _build_query(args)
-    check_cap(query.n, args.cap)  # before -o FILE is opened: a refused query leaves it as it was
     n = query.n
     width = len(str(n))
     field = width + 1

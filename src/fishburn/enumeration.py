@@ -59,9 +59,9 @@ class AvoidanceQuery(_Record):
     """A class of permutations to enumerate.
 
     prefix, when set, requires members to begin with exactly those values;
-    with prefix_negation the members must begin with prefix[:-1] and carry a
-    different value in the slot of the final prefix entry.  one_position
-    restricts to members whose entry 1 sits at that position (1 or 2).
+    with prefix_negation they begin with prefix[:-1] and carry another value
+    in the final prefix slot.  one_position keeps the members whose entry 1
+    sits at that position (1 or 2).  `check_cap`, not the query, checks n.
     """
 
     __slots__ = ("n", "patterns", "one_position", "prefix", "prefix_negation")
@@ -74,8 +74,6 @@ class AvoidanceQuery(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
-        if self.n < 0:
-            raise ValueError("length must be nonnegative")
         if self.one_position not in (None, 1, 2):
             raise ValueError("one_position must be 1 or 2")
         if self.prefix_negation and not self.prefix:
@@ -88,8 +86,8 @@ class AvoidanceQuery(_Record):
 
 
 def check_cap(n: int, cap: int, name: str = "n") -> None:
-    """The one length rule: ValueError when n, called name in the message,
-    is negative, CapacityError when it exceeds cap."""
+    """The one length rule, first at every entry point: ValueError when n,
+    called name in the message, is negative, CapacityError above cap."""
     if n < 0:
         raise ValueError(f"{name} must be nonnegative")
     if n > cap:
@@ -117,12 +115,13 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 def _grower(query: AvoidanceQuery):
     """(grow, target): the rule both walks grow a member by, and the index
-    the query wants entry 1 at, or -1.  grow(m, word, inv, dead, slots)
-    takes a member of size m < n, appends each child, (m + 1, word, inv,
-    dead) or a leaf's word (built only when slots is set), to slots[s] for
-    its site s, left to right, and returns live, the mask of those sites.
-    inv, the zero-based inverse, is None unless a classical check other
-    than 321 reads it; every other rule finds its one index in the word."""
+    the query wants entry 1 at, or -1 (n has passed `check_cap`).
+    grow(m, word, inv, dead, slots) takes a member of size m < n, appends
+    each child, (m + 1, word, inv, dead) or a leaf's word (built only when
+    slots is set), to slots[s] for its site s, left to right, and returns
+    live, the mask of those sites.  inv, the zero-based inverse, is None
+    unless a classical check other than 321 reads it; every other rule
+    finds its one index in the word."""
     n = query.n
     target = query.one_position - 1 if query.one_position else -1
     # Every filter is a mask of sites ANDed into live (below).  Deleting the
@@ -171,18 +170,16 @@ def _grower(query: AvoidanceQuery):
             if head is None or m and occurs_ending_at(inv, m - 1, head):
                 dead |= dead_sites(inv, m - 1, pattern)
         # live: the prefix's sites less the dead ones.  Insertions only move
-        # entry 1 right, so once it sits at the target the sites at or left
-        # of it are cut (one is -1 at the root and without a target).
+        # entry 1 right, so the target keeps the sites that put entry 1 at it
+        # once it sits there, and at the last level (one is -1 at the root).
         live = sites[top] & ~dead
-        one = word.find("1") if target >= 0 else -1
-        if one == target >= 0:
-            live &= -(2 << target)
-        if top == n:
-            # Leaves are whole members: the target keeps the sites that put
-            # entry 1 at it, the ban cuts those that put ban_value in the
-            # last prefix slot.
-            if target >= 0:
+        if target >= 0:
+            one = word.find("1")
+            if one == target or top == n:
                 live &= _lands(one, target)
+        if top == n:
+            # Leaves are whole members: the ban cuts the sites that put
+            # ban_value in the last prefix slot.
             if ban_value:
                 live &= ~_lands(word.find(chr(48 + ban_value)), len(prefix) - 1)
             if slots is not None:
@@ -241,18 +238,18 @@ def search(query: AvoidanceQuery, *, cap: int = DEFAULT_COUNT_CAP) -> tuple[list
         live = grow(m, word, inv, dead, every if top < n else None)
         # Each member is counted where its parent makes it, by popcounts of
         # live: made children, the low ones with entry 1 at one + 1, the rest
-        # at one.  Without a prefix sizes[m] is the class count at m, split
-        # by first[m] and second[m]; with one_position it counts the members
-        # with entry 1 at the target, as does that split, since insertions
-        # never move entry 1 left and the prunes cut only the others.  With
-        # a prefix only index n counts the query.
+        # at one (-1 at the root, whose child is low).  Without a prefix
+        # sizes[m] is the class count at m, split by first[m] and second[m];
+        # with one_position it counts those with entry 1 at the target, as
+        # does that split, since insertions never move entry 1 left and the
+        # prunes cut only the others.  With a prefix only n counts the query.
         one = word.find("1")
         made = live.bit_count()
         low = (live & _lands(one, one + 1)).bit_count()
-        for j, c in ((one, made - low), (one + 1, low)) if m else ((0, made),):
+        for j, c in (one, made - low), (one + 1, low):
             if target < 0 or j == target:
                 sizes[top] += c
-                if j < 2:
+                if 0 <= j < 2:
                     splits[j][top] += c
     return sizes, first, second
 
@@ -270,9 +267,9 @@ def members(
     to out in batches of exactly BATCH words (the last may hold fewer)."""
     check_cap(query.n, cap)
     n = query.n
+    grow, target = _grower(query)
     # The loop grows sizes 1..n; the empty member, alone at n = 0, has no entry 1.
-    found: list[str] = [""] if n == 0 and query.one_position is None else []
-    grow = _grower(query)[0]
+    found: list[str] = [""] if n == 0 and target < 0 else []
     # The members of size m arrive in lexicographic order, and each parent
     # P puts its child P^s = P[:s] + max + P[s:] on the list of site s.  As
     # max exceeds every other character, X^s < Y^t when t < s and Y shares

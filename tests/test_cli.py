@@ -232,12 +232,14 @@ def test_cap_flag_raises_the_limit(capsys):
 
 @pytest.mark.parametrize("command", ["count", "list"])
 def test_negative_cap_is_a_usage_error(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "-n", "3", "--cap", "-1"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--cap" in captured.err and "nonnegative" in captured.err
+    # "abc" takes the branch of a value that is not an integer at all.
+    for cap in ("-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-n", "3", "--cap", cap])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cap" in captured.err and "nonnegative" in captured.err
 
 
 def test_series_capacity(capsys):
@@ -332,6 +334,17 @@ def test_count_one_pos_output_file(tmp_path, capsys):
     )
     assert (code, out) == (0, "")
     assert target.read_text() == "5\n"
+
+
+@pytest.mark.parametrize("argv", [["count", "-n", "-1", "--prefix", "1"], ["list", "-n", "-1"]])
+def test_negative_length_is_refused_before_the_output_is_opened(argv, tmp_path, capsys):
+    # The length is checked before the prefix, which would otherwise report
+    # `prefix value 1 outside 1..-1`, and before -o FILE is created.
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert (code, out) == (2, "")
+    assert "n must be nonnegative" in err
+    assert not target.exists()
 
 
 def test_list_capacity_error_leaves_existing_output_untouched(tmp_path, capsys):

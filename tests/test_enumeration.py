@@ -292,8 +292,8 @@ def test_prefix_examples():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        AvoidanceQuery(-1)
+    # A negative length builds; `check_cap` refuses it at every entry point.
+    assert AvoidanceQuery(-1).n == -1
     with pytest.raises(ValueError):
         AvoidanceQuery(4, one_position=3)
     with pytest.raises(ValueError):
@@ -341,8 +341,8 @@ def test_capacity_errors_and_overrides():
 )
 def test_one_length_rule_at_every_entry_point(entry, name, cap):
     # `check_cap` is the one length rule: one past the cap is refused by
-    # name, and so is a negative length (a query of length -1 already when
-    # it is built).
+    # name, and so is a negative length (a query of length -1 builds, and
+    # `count`, `members` and `search` refuse it).
     with pytest.raises(CapacityError, match=re.escape(f"{name}={cap + 1} exceeds the cap of {cap}")):
         entry(cap + 1)
     with pytest.raises(ValueError, match="must be nonnegative"):

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from fishburn.enumeration import AvoidanceQuery
+from fishburn.enumeration import AvoidanceQuery, count
 from fishburn.patterns import ClassicalPattern, PatternSet
 from fishburn.perm import Permutation
 from fishburn.sequences import TABLE_ROWS, SequenceRow
@@ -117,7 +117,7 @@ def test_validations_raise_value_error():
         (lambda: ClassicalPattern(Permutation(())), "pattern size must be 1..9"),
         (lambda: ClassicalPattern(Permutation(tuple(range(1, 11)))), "pattern size must be 1..9"),
         (lambda: PatternSet.parse("321,321"), "duplicate classical pattern"),
-        (lambda: AvoidanceQuery(-1), "length must be nonnegative"),
+        (lambda: count(AvoidanceQuery(-1)), "n must be nonnegative"),
         (lambda: AvoidanceQuery(3, one_position=3), "one_position must be 1 or 2"),
         (lambda: AvoidanceQuery(3, prefix_negation=True), "prefix_negation requires a prefix"),
         (lambda: AvoidanceQuery(3, prefix=(1, 1)), "prefix values must be distinct"),

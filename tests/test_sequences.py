@@ -12,6 +12,7 @@ from fishburn.sequences import (
     TABLE_ROWS,
     PellIdentity,
     RangeError,
+    claim,
     eval_row,
     evaluate_formula,
     fibonacci,
@@ -43,6 +44,8 @@ def test_pell_values():
     assert [pell(n) for n in range(6)] == [0, 1, 2, 5, 12, 29]
     assert pell(2) == 2
     assert pell(10) == 2378
+    with pytest.raises(ValueError):
+        pell(-1)
 
 
 def test_q_values():
@@ -50,6 +53,8 @@ def test_q_values():
     assert q_value(1) == 1
     assert q_value(5) == 21
     assert [q_value(n) for n in range(8)] == [1, 1, 2, 4, 9, 21, 50, 120]
+    with pytest.raises(ValueError):
+        q_value(-1)
 
 
 def test_q_integrality():
@@ -80,6 +85,9 @@ def test_eval_row_rejects_below_range():
         eval_row(_row("321,1243"), 1)
     with pytest.raises(RangeError, match="321,3142"):
         eval_row(_row("321,3142"), 0)
+    # A row stated from 0 whose formula is undefined there.
+    with pytest.raises(RangeError, match="formula undefined at n=0"):
+        eval_row(claim("321,3142", _row("321,3142").formula, 0), 0)
 
 
 def test_formula_values_against_direct_arithmetic():
@@ -92,6 +100,8 @@ def test_formula_values_against_direct_arithmetic():
         assert evaluate_formula(_row("321,14253"), n) == 2**n - comb(n, 2) - 1
     assert evaluate_formula(_row("321,3142"), 0) is None
     assert evaluate_formula(_row("321,3142"), 6) == 32
+    with pytest.raises(ValueError):
+        evaluate_formula(_row("321,1243"), -1)
 
 
 def _series_by_binomial_expansion(degree):

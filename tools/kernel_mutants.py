@@ -75,30 +75,33 @@ MUTANTS = [
     ("loose prefix sites", SEARCH,
      "sites.append(1 << sum(u < v for u in head[: head.index(v)]))",
      "sites.append((1 << v) - (1 << sum(u < v for u in head[: head.index(v)])))"),
-    ("no leaf entry-1 check", SEARCH,
+    ("no entry-1 rule", SEARCH,
      "live &= _lands(one, target)",
      "pass"),
     ("target cut on the wrong side", SEARCH,
      "live &= _lands(one, target)",
      "live &= ~_lands(one, target)"),
-    ("target prune one site too wide", SEARCH,
-     "live &= -(2 << target)",
-     "live &= -(4 << target)"),
     ("no target prune", SEARCH,
-     "if one == target >= 0:",
-     "if False:"),
-    ("root's entry 1 at index 0", SEARCH,
-     "if one == target >= 0:",
-     "if (one if m else 0) == target >= 0:"),
-    ("target prune without its guard", SEARCH,
-     "if one == target >= 0:",
+     "if one == target or top == n:",
+     "if top == n:"),
+    ("no leaf target cut", SEARCH,
+     "if one == target or top == n:",
      "if one == target:"),
+    ("root's entry 1 at index 0", SEARCH,
+     'one = word.find("1")\n            if',
+     'one = word.find("1") if m else 0\n            if'),
+    ("target rule without its guard", SEARCH,
+     "if target >= 0:\n            one = ",
+     "if True:\n            one = "),
     ("new maximum lands one site off", SEARCH,
      "return 1 << index",
      "return 2 << index"),
     ("staying value lands on the wrong side", SEARCH,
      "return -(2 << p)",
      "return (2 << p) - 1"),
+    ("staying value lands one site too wide", SEARCH,
+     "return -(2 << p)",
+     "return -(4 << p)"),
     ("moving value lands on the wrong side", SEARCH,
      "return (2 << p) - 1 if p + 1 == index else 0",
      "return -(2 << p) if p + 1 == index else 0"),
@@ -130,17 +133,17 @@ MUTANTS = [
      "if has_321 and s < m:",
      "if has_321 and s <= m:"),
     ("root child at index 1", SEARCH,
-     "if m else ((0, made),)",
-     "if m else ((1, made),)"),
+     'one = word.find("1")\n        made',
+     'one = word.find("1") if m else 0\n        made'),
     ("made - low not subtracted", SEARCH,
-     "((one, made - low), (one + 1, low))",
-     "((one, made), (one + 1, low))"),
+     "(one, made - low), (one + 1, low)",
+     "(one, made), (one + 1, low)"),
     ("target ignored in the tally", SEARCH,
      "if target < 0 or j == target:",
      "if True:"),
     ("j < 1 for j < 2", SEARCH,
-     "if j < 2:",
-     "if j < 1:"),
+     "if 0 <= j < 2:",
+     "if 0 <= j < 1:"),
     ("leaf word drops the displaced entry", SEARCH,
      "slots[s].append(word[:s] + code + word[s:])",
      "slots[s].append(word[:s] + code + word[s + 1:])"),
@@ -172,7 +175,7 @@ MUTANTS = [
      "slots[s].clear()",
      "pass"),
     ("empty member listed under a target", SEARCH,
-     'if n == 0 and query.one_position is None else',
+     'if n == 0 and target < 0 else',
      'if n == 0 else'),
     ("batch one word long", SEARCH,
      "out(found[:BATCH])",
