@@ -1,10 +1,10 @@
 """Command-line frontend: count, list, series, verify.
 
-Everything is a flag; there are no config files or environment variables, so
-a published invocation reproduces exactly.  Results go to stdout (or --output),
-diagnostics to stderr.  Exit codes: 0 success (also when the reader of
-stdout closes it early), 1 verification failure, 2 usage or parse error,
-3 capacity exceeded.
+Everything is a flag, with no config files or environment variables, so a
+published invocation reproduces exactly.  Results go to stdout (or --output),
+`list` and delimited `verify` output as it is found; diagnostics go to stderr.
+Exit codes: 0 success (also when the reader of stdout closes it early), 1
+verification failure, 2 usage or parse error, 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 
 from fishburn.enumeration import (
     DEFAULT_COUNT_CAP,
@@ -142,10 +142,22 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_suite(args.suite, args.max_n)
-    text = _FORMATTERS[args.format](reports)
-    with _open_output(args.output) as out:
-        out.write(text)
+    """Delimited output is written and flushed one report at a time, as each
+    is checked; plain and structured output summarise the run, so they are
+    written at its end.  -o FILE is opened at the first write."""
+    out = None
+    with ExitStack() as stack:
+        def write(reports: list) -> None:
+            nonlocal out
+            if out is None:
+                out = stack.enter_context(_open_output(args.output))
+            out.write(_FORMATTERS[args.format](reports))
+            out.flush()
+
+        streamed = args.format == "delimited"
+        reports = run_suite(args.suite, args.max_n, (lambda report: write([report])) if streamed else None)
+        if not streamed:
+            write(reports)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 

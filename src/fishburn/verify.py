@@ -52,6 +52,9 @@ class VerificationReport(_Record):
     passed: bool
 
 
+Emit = Callable[[VerificationReport], object]
+
+
 def _record(
     row_id: str,
     n: int,
@@ -66,9 +69,11 @@ def _record(
     return CheckRecord(row_id, n, observed, expected, asserted, matched)
 
 
-def _finish(suite: str, records: list[CheckRecord]) -> VerificationReport:
-    passed = all(r.matched for r in records if r.asserted)
-    return VerificationReport(suite, tuple(records), passed)
+def _finish(suite: str, records: list[CheckRecord], emit: Emit | None) -> VerificationReport:
+    report = VerificationReport(suite, tuple(records), all(r.matched for r in records if r.asserted))
+    if emit is not None:
+        emit(report)
+    return report
 
 
 DECOMPOSITION_CHECKS: tuple[SequenceRow, ...] = (
@@ -100,7 +105,7 @@ def _class_sizes(patterns: PatternSet, max_n: int) -> tuple[list[int], list[int]
 
 
 def _verify_rows(
-    kind: str, rows: Sequence[SequenceRow], first_n: int, max_n: int
+    kind: str, rows: Sequence[SequenceRow], first_n: int, max_n: int, emit: Emit | None
 ) -> list[VerificationReport]:
     """One report per row: its class sizes (or the split its one_position
     names) against its closed form for first_n <= n <= max_n, asserted from
@@ -114,24 +119,24 @@ def _verify_rows(
             _record(row.row_id, n, observed, evaluate_formula(row, n), n >= row.valid_from)
             for n, observed in enumerate(sizes[first_n:], first_n)
         ]
-        reports.append(_finish(f"{kind}:{row.row_id}", records))
+        reports.append(_finish(f"{kind}:{row.row_id}", records, emit))
     return reports
 
 
-def verify_table(max_n: int) -> list[VerificationReport]:
+def verify_table(max_n: int, emit: Emit | None = None) -> list[VerificationReport]:
     """One report per enumerated class, counts vs closed form for n <= max_n."""
-    return _verify_rows("table", TABLE_ROWS, 0, max_n)
+    return _verify_rows("table", TABLE_ROWS, 0, max_n, emit)
 
 
-def verify_decompositions(max_n: int) -> list[VerificationReport]:
+def verify_decompositions(max_n: int, emit: Emit | None = None) -> list[VerificationReport]:
     """Position-of-1 split counts against their stated formulas, 1 <= n <= max_n."""
-    return _verify_rows("decomposition", DECOMPOSITION_CHECKS, 1, max_n)
+    return _verify_rows("decomposition", DECOMPOSITION_CHECKS, 1, max_n, emit)
 
 
 REDUCTION_SIGMAS = ("132", "213", "312", "3142")
 
 
-def verify_lemmas(max_n: int) -> VerificationReport:
+def verify_lemmas(max_n: int, emit: Emit | None = None) -> VerificationReport:
     """Structural facts: entry 1 sits in the first two positions throughout
     the 321-avoiding Fishburn classes, and dropping the Fishburn condition
     in favour of classical 231-avoidance leaves each checked class unchanged.
@@ -153,14 +158,14 @@ def verify_lemmas(max_n: int) -> VerificationReport:
         for n in range(max_n + 1):
             ok = lhs[n] == both[n] == rhs[n]
             records.append(_record(f"reduction-{sigma}", n, lhs[n], rhs[n], True, extra_ok=ok))
-    return _finish("lemmas", records)
+    return _finish("lemmas", records, emit)
 
 
 WILF_CLASS_A = "231,321,213"
 WILF_CLASS_B = "213,123,231"
 
 
-def verify_wilf_complement(max_n: int) -> VerificationReport:
+def verify_wilf_complement(max_n: int, emit: Emit | None = None) -> VerificationReport:
     """Complementation maps the 231,321,213-avoiders bijectively onto the
     213,123,231-avoiders, so the two classes are equinumerous for every n."""
     check_cap(max_n, DEFAULT_COUNT_CAP, "max_n")
@@ -172,10 +177,10 @@ def verify_wilf_complement(max_n: int) -> VerificationReport:
         rhs = members(AvoidanceQuery(n, class_b), cap=max_n)
         bijective = sorted(complement(word_values(w)) for w in lhs) == list(map(word_values, rhs))
         records.append(_record("wilf-complement", n, len(lhs), len(rhs), True, extra_ok=bijective))
-    return _finish("wilf-complement", records)
+    return _finish("wilf-complement", records, emit)
 
 
-def verify_lrmax_bijection(max_n: int) -> VerificationReport:
+def verify_lrmax_bijection(max_n: int, emit: Emit | None = None) -> VerificationReport:
     """On the 321,3142-avoiding Fishburn class, taking left-to-right maxima
     is injective and its image is exactly the subsets of {1..n} containing n
     (2^(n-1) of them)."""
@@ -191,10 +196,10 @@ def verify_lrmax_bijection(max_n: int) -> VerificationReport:
         }
         ok = len(images) == len(mem) and images == family
         records.append(_record("lrmax-bijection", n, len(images), 1 << (n - 1), True, extra_ok=ok))
-    return _finish("lrmax-bijection", records)
+    return _finish("lrmax-bijection", records, emit)
 
 
-def verify_prefix_claims(max_n: int) -> VerificationReport:
+def verify_prefix_claims(max_n: int, emit: Emit | None = None) -> VerificationReport:
     """Prefix-constrained counts in the 321,21354-avoiding Fishburn class:
     members opening with k,1 and then not 2 number C(n-2, k-1), and n,1
     opens exactly one member."""
@@ -211,10 +216,10 @@ def verify_prefix_claims(max_n: int) -> VerificationReport:
                 cap=max_n,
             )
             records.append(_record(f"prefix:{k},1,not-2", n, observed, comb(n - 2, k - 1), True))
-    return _finish("prefix-claims", records)
+    return _finish("prefix-claims", records, emit)
 
 
-def verify_identities(max_n: int) -> list[VerificationReport]:
+def verify_identities(max_n: int, emit: Emit | None = None) -> list[VerificationReport]:
     """Every Pell identity by literal summation, one report per identity.
 
     The nested sum makes the run time grow about twentyfold per doubling of
@@ -227,32 +232,35 @@ def verify_identities(max_n: int) -> list[VerificationReport]:
         for n in range(IDENTITY_MIN_N[identity], max_n + 1):
             left, right = identity_sides(identity, n)
             records.append(_record(f"identity:{identity.name}", n, left, right, True))
-        reports.append(_finish(f"identity:{identity.name}", records))
+        reports.append(_finish(f"identity:{identity.name}", records, emit))
     return reports
 
 
 # Each entry looks its suite function up when it runs, so a wrapper installed
 # on this module (a tracer, a test double) sees the call.  The order here is
 # the order of `all`.
-_SUITE_RUNNERS: dict[str, Callable[[int], list[VerificationReport]]] = {
-    "table": lambda max_n: verify_table(max_n),
-    "decompositions": lambda max_n: verify_decompositions(max_n),
-    "lemmas": lambda max_n: [verify_lemmas(max_n)],
-    "wilf": lambda max_n: [verify_wilf_complement(max_n)],
-    "lrmax": lambda max_n: [verify_lrmax_bijection(max_n)],
-    "prefix": lambda max_n: [verify_prefix_claims(max_n)],
-    "identities": lambda max_n: verify_identities(max_n),
+_SUITE_RUNNERS: dict[str, Callable[[int, Emit | None], list[VerificationReport]]] = {
+    "table": lambda max_n, emit: verify_table(max_n, emit),
+    "decompositions": lambda max_n, emit: verify_decompositions(max_n, emit),
+    "lemmas": lambda max_n, emit: [verify_lemmas(max_n, emit)],
+    "wilf": lambda max_n, emit: [verify_wilf_complement(max_n, emit)],
+    "lrmax": lambda max_n, emit: [verify_lrmax_bijection(max_n, emit)],
+    "prefix": lambda max_n, emit: [verify_prefix_claims(max_n, emit)],
+    "identities": lambda max_n, emit: verify_identities(max_n, emit),
 }
 SUITES = (*_SUITE_RUNNERS, "all")
 
 
-def run_suite(suite: str, max_n: int) -> list[VerificationReport]:
-    """Run one named suite (or all of them) and return its reports in order."""
+def run_suite(suite: str, max_n: int, emit: Emit | None = None) -> list[VerificationReport]:
+    """Run one named suite (or all of them) and return its reports in order,
+    handing each to emit, when given, as soon as it is final: in `table` and
+    `decompositions` after each row's walk.  `all` starts with `table`, whose
+    length cap is the lowest, so a refused run emits nothing."""
     if suite == "all":
-        return [report for run in _SUITE_RUNNERS.values() for report in run(max_n)]
+        return [report for run in _SUITE_RUNNERS.values() for report in run(max_n, emit)]
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return _SUITE_RUNNERS[suite](max_n)
+    return _SUITE_RUNNERS[suite](max_n, emit)
 
 
 def _flag(record: CheckRecord) -> str:

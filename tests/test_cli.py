@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishburn import AvoidanceQuery, PatternSet, members
+from fishburn import AvoidanceQuery, PatternSet, members, verify
 from fishburn.cli import main
 from fishburn.perm import word_values
-from fishburn.verify import format_structured, run_suite
+from fishburn.verify import SUITES, format_delimited, format_structured, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +326,78 @@ def test_verify_negative_max_n_is_a_usage_error(capsys, suite):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--max-n", "9", "--format", "delimited"], "5eed7b2d2841fc9dea899c6a52b4f455717d05c9954b4b77931f5ca91425854e"),
+        (["--max-n", "9"], "e37a019c36284dd8652ed733d9f714343926977933f8bf21f299f21107d345c6"),
+        (["--max-n", "9", "--format", "structured"], "8833ce5bdc71913f09f6442910a0cd5166869b8c4dc4ee0bb0c798f79e53212c"),
+        # The benchmark's set-up command.
+        (["--max-n", "0", "--format", "delimited"], "c77a387e864315f4a58609c761f733e52234c463366c9445813bcce99044b50a"),
+    ],
+    ids=["delimited", "plain", "structured", "delimited-max-n-0"],
+)
+def test_verify_all_stdout_is_pinned_and_matches_the_output_file(argv, digest, tmp_path, capsys):
+    # The formatters' bytes are pinned in test_verify.py; these are the bytes
+    # the command writes, one report at a time in the delimited format.
+    code, stdout, err = run_cli(capsys, "verify", "all", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+    target = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "verify", "all", *argv, "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == stdout.encode()
+
+
+def test_verify_writes_each_report_once_as_soon_as_it_is_checked(monkeypatch):
+    # Logs the walks `verify` makes and every write and flush on stdout, in
+    # one sequence.  The memo is cleared so that every walk is made here.
+    events = []
+    walk = verify.search
+
+    def logged_walk(*args, **kwargs):
+        events.append(("walk", None))
+        return walk(*args, **kwargs)
+
+    class Stdout:
+        def write(self, text):
+            events.append(("write", text))
+            return len(text)
+
+        def flush(self):
+            events.append(("flush", None))
+
+    monkeypatch.setattr(verify, "search", logged_walk)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    verify._class_sizes.cache_clear()
+    assert main(["verify", "all", "--max-n", "9", "--format", "delimited"]) == 0
+    kinds = [kind for kind, _ in events]
+    walks = [i for i, kind in enumerate(kinds) if kind == "walk"]
+    # The first row is written after its walk and before the second row's.
+    assert walks[0] < kinds.index("write") < walks[1]
+    # Each write is one whole report, flushed before anything else happens.
+    assert all(kinds[i + 1] == "flush" for i, kind in enumerate(kinds) if kind == "write")
+    reports = run_suite("all", 9)
+    assert [text for kind, text in events if kind == "write"] == [format_delimited([r]) for r in reports]
+    # A library caller's emit sees the reports run_suite returns, in order.
+    for suite in SUITES:
+        seen = []
+        assert run_suite(suite, 6, seen.append) == seen, suite
+
+
+@pytest.mark.parametrize("fmt", ["delimited", "plain", "structured"])
+@pytest.mark.parametrize("max_n, code", [("15", 3), ("-1", 2)])
+def test_refused_verify_writes_nothing_and_creates_no_file(max_n, code, fmt, tmp_path, capsys):
+    # Every suite checks max_n before its first report, so a refused run
+    # writes no row, and -o FILE, opened at the first write, is not created.
+    target = tmp_path / "report.txt"
+    for output in ([], ["-o", str(target)]):
+        got, out, err = run_cli(capsys, "verify", "all", "--max-n", max_n, "--format", fmt, *output)
+        assert (got, out) == (code, "")
+        assert err.startswith("fishburn: ")
+    assert not target.exists()
+
+
 def test_count_one_pos_output_file(tmp_path, capsys):
     target = tmp_path / "count.txt"
     code, out, _ = run_cli(
@@ -363,8 +435,11 @@ def test_list_capacity_error_leaves_existing_output_untouched(tmp_path, capsys):
         (["list", "--fishburn", "-n", "9"], b"1 2 3 4 5 6 7 8 9\n"),
         # The reader is gone before the one buffered line is flushed.
         (["count", "--fishburn", "-n", "5"], None),
+        # `fishburn verify ... | head -1`: delimited reports are written as
+        # each row is checked, so the pipe breaks between two reports.
+        (["verify", "all", "--max-n", "9", "--format", "delimited"], b"321,1243\t0\t1\t4\tout-of-stated-range\n"),
     ],
-    ids=["mid-stream", "at-flush"],
+    ids=["mid-stream", "at-flush", "verify-mid-stream"],
 )
 def test_closed_stdout_pipe_exits_zero_quietly(argv, first_line):
     # Buffered stdout, as from a shell, so a short output breaks at the flush.

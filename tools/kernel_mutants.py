@@ -1,15 +1,15 @@
-"""Check that the Tier-1 tests kill every kernel and list-formatter mutant in MUTANTS.
+"""Check that the Tier-1 tests kill every kernel and CLI-writer mutant in MUTANTS.
 
 Each mutant is one edit to a file of the kernel, the per-member rule, the
 count walk, the lexicographic merge and its batches, and the length rule
 `check_cap` in src/fishburn/enumeration.py or the anchored matcher and kill
 pass they call in src/fishburn/patterns.py, or to the fixed-width formatter
-of `fishburn list` in src/fishburn/cli.py: the file, a text that must
-occur there exactly once, and the text put in its place.  For each mutant
-the tool copies the parts of the checkout the tests read (src, tests,
-perfbench, pyproject.toml and README.md) to a temporary directory,
-applies the edit to the copy and runs the Tier-1 command there, stopped at
-its first failing test (-x):
+of `fishburn list` or the report writer of `fishburn verify` in
+src/fishburn/cli.py: the file, a text that must occur there exactly once,
+and the text put in its place.  For each mutant the tool copies the parts
+of the checkout the tests read (src, tests, perfbench, pyproject.toml and
+README.md) to a temporary directory, applies the edit to the copy and runs
+the Tier-1 command there, stopped at its first failing test (-x):
 
     PYTHONPATH=src python -m pytest -q -x --continue-on-collection-errors
 
@@ -47,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEARCH = Path("src/fishburn/enumeration.py")
 MATCHER = Path("src/fishburn/patterns.py")
-FORMATTER = Path("src/fishburn/cli.py")
+CLI = Path("src/fishburn/cli.py")
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 TIMEOUT_S = 600
 MEMORY_BYTES = 1 << 30
@@ -204,12 +204,18 @@ MUTANTS = [
     ("kill interval bounds swapped", MATCHER,
      "lo, hi = _neighbours(body[-1], head, len(head) - 1)",
      "hi, lo = _neighbours(body[-1], head, len(head) - 1)"),
-    ("newline one column early", FORMATTER,
+    ("newline one column early", CLI,
      'buf[line - 1::line] = b"\\n"',
      'buf[line - 2::line] = b"\\n"'),
-    ("NUL padding left in", FORMATTER,
+    ("NUL padding left in", CLI,
      'buf.translate(None, b"\\0")',
      'bytes(buf)'),
+    ("verify writes its reports after the run", CLI,
+     'streamed = args.format == "delimited"',
+     'streamed = False'),
+    ("verify writes each report twice", CLI,
+     "write([report])",
+     "write([report, report])"),
 ]
 
 
