@@ -5,6 +5,10 @@ published invocation reproduces exactly.  Results go to stdout (or --output),
 `list` and delimited `verify` output as it is found; diagnostics go to stderr.
 Exit codes: 0 success (also when the reader of stdout closes it early), 1
 verification failure, 2 usage or parse error, 3 capacity exceeded.
+
+Only the kernel is imported at start: `fishburn.verify` loads at the first
+`verify` call and `fishburn.sequences` at the first `series` call, so a
+`count` or `list` start compiles neither.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from contextlib import ExitStack, nullcontext
 from fishburn.enumeration import (
     DEFAULT_COUNT_CAP,
     DEFAULT_LIST_CAP,
+    SERIES_CAP,
     AvoidanceQuery,
     CapacityError,
     check_cap,
@@ -25,19 +30,36 @@ from fishburn.enumeration import (
 )
 from fishburn.patterns import PatternSet
 from fishburn.perm import ParseError, parse_values
-from fishburn.sequences import SERIES_CAP, fishburn_series
-from fishburn.verify import SUITES, format_delimited, format_plain, format_structured, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-_FORMATTERS = {
-    "plain": format_plain,
-    "delimited": format_delimited,
-    "structured": format_structured,
-}
+# `verify.SUITES`, in the order `all` runs them, named here so that the
+# parser is built without loading `fishburn.verify`.
+SUITES = ("table", "decompositions", "lemmas", "wilf", "lrmax", "prefix", "identities", "all")
+
+
+def run_suite(suite: str, max_n: int, emit=None) -> list:
+    """`verify.run_suite`, with `fishburn.verify` loaded at the first call."""
+    from fishburn import verify
+
+    return verify.run_suite(suite, max_n, emit)
+
+
+def _formatter(name: str):
+    def format_reports(reports: list) -> str:
+        from fishburn import verify
+
+        return getattr(verify, f"format_{name}")(reports)
+
+    return format_reports
+
+
+# `cmd_verify` looks up `run_suite` and these formatters at call time, so a
+# wrapper installed on this module (a tracer, a test double) sees the call.
+_FORMATTERS = {name: _formatter(name) for name in ("plain", "delimited", "structured")}
 
 
 def _nonnegative_int(text: str) -> int:
@@ -134,6 +156,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from fishburn.sequences import fishburn_series
+
     coefficients = fishburn_series(args.degree)
     with _open_output(args.output) as out:
         for n, c in enumerate(coefficients):

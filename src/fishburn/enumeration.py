@@ -31,8 +31,8 @@ tallies each level by popcounts of that mask, building no member of the
 last size.  `members`, the one walk that lists, applies it size by size in
 lexicographic order, merging the children of consecutive parents, so it
 hands out words as it walks and sorts nothing.  Caps default to 14 for
-counting and 10 for member lists; they are arguments, and the only length
-limits.
+counting, 10 for member lists and 64 for the Fishburn series and the Pell
+identities; they are arguments, and the only length limits.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from fishburn.perm import Permutation, _Record
 
 DEFAULT_COUNT_CAP = 14
 DEFAULT_LIST_CAP = 10
+SERIES_CAP = 64
 BATCH = 4096  # `members` hands words to `out` exactly this many at a time, but at the end
 
 _PATTERN_321 = (3, 2, 1)

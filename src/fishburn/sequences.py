@@ -12,7 +12,7 @@ from collections.abc import Callable
 from enum import Enum
 from math import comb
 
-from fishburn.enumeration import check_cap
+from fishburn.enumeration import SERIES_CAP, check_cap
 from fishburn.patterns import PatternSet
 from fishburn.perm import _Record
 
@@ -136,9 +136,6 @@ def eval_row(row: SequenceRow, n: int) -> int:
     if value is None:
         raise RangeError(f"row {row.row_id} formula undefined at n={n}")
     return value
-
-
-SERIES_CAP = 64
 
 
 def _mul_trunc(a: list[int], b: tuple[int, ...], degree: int) -> list[int]:

@@ -15,12 +15,11 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 from math import comb
 
-from fishburn.enumeration import DEFAULT_COUNT_CAP, AvoidanceQuery, check_cap, count, members, search
+from fishburn.enumeration import DEFAULT_COUNT_CAP, SERIES_CAP, AvoidanceQuery, check_cap, count, members, search
 from fishburn.patterns import PatternSet
 from fishburn.perm import _Record, complement, left_to_right_maxima, word_values
 from fishburn.sequences import (
     IDENTITY_MIN_N,
-    SERIES_CAP,
     TABLE_ROWS,
     PellIdentity,
     SequenceRow,

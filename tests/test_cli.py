@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishburn import AvoidanceQuery, PatternSet, members, verify
-from fishburn.cli import main
+from fishburn.cli import build_parser, main
+from fishburn.enumeration import DEFAULT_COUNT_CAP, SERIES_CAP
 from fishburn.perm import word_values
 from fishburn.verify import SUITES, format_delimited, format_structured, run_suite
 
@@ -479,3 +481,40 @@ def test_cli_start_loads_no_dataclasses_json_or_typing():
     doc = json.loads(report)
     assert doc["passed"] is True
     assert doc == json.loads(format_structured(run_suite("all", 3)))
+
+
+def test_cli_start_loads_verify_and_sequences_only_for_their_commands():
+    # The kernel commands load neither `fishburn.verify` nor
+    # `fishburn.sequences`, `series` loads only the closed forms, and `verify`
+    # both; each command runs in a fresh interpreter.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    expected = {
+        ("list", "--fishburn", "-n", "3"): "",
+        ("count", "--avoid", "321", "-n", "5"): "",
+        ("series", "-N", "5"): "fishburn.sequences",
+        ("verify", "table", "--max-n", "3"): "fishburn.sequences fishburn.verify",
+    }
+    for argv, modules in expected.items():
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import fishburn.cli\n"
+            f"code = fishburn.cli.main({list(argv)!r})\n"
+            "print(' '.join(m for m in ('fishburn.sequences', 'fishburn.verify') if m in sys.modules),"
+            " file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+        assert proc.stderr == modules + "\n", argv
+
+
+def test_parser_names_the_suites_and_caps_of_their_owners():
+    # The parser is built before `fishburn.verify` loads, so `cli` lists the
+    # suite names itself: they must be `verify.SUITES`, in the order `all`
+    # runs them.  The `--max-n` help names the caps that `enumeration` owns.
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {action.dest: action for action in subcommands.choices["verify"]._actions}
+    assert tuple(options["suite"].choices) == verify.SUITES
+    assert f"at most {DEFAULT_COUNT_CAP}, {SERIES_CAP} for identities" in options["max_n"].help

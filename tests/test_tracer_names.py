@@ -37,3 +37,20 @@ def test_traced_list_books_its_members(monkeypatch, capsys):
         assert cli.main(["list", "--fishburn", "-n", "5"]) == 0
     assert capsys.readouterr().out.count("\n") == 53
     assert spans.layer_metrics(tracer.as_dict())["enumeration.members"] == 53
+
+
+def test_traced_verify_books_its_reports_and_bytes(monkeypatch, capsys):
+    # `cli` loads `fishburn.verify` only when a `verify` runs, and reaches it
+    # through `cli.run_suite` and `cli._FORMATTERS`, the two names the tracer
+    # wraps; a `verify` that went around them would book no records or bytes.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from fishburn import cli, verify
+
+    with spans.traced(spans.Tracer()) as tracer:
+        assert cli.main(["verify", "all", "--max-n", "3", "--format", "delimited"]) == 0
+    out = capsys.readouterr().out
+    metrics = spans.layer_metrics(tracer.as_dict())
+    assert metrics["verify.records"] == sum(len(r.records) for r in verify.run_suite("all", 3))
+    assert metrics["verify.output_bytes"] == len(out.encode())

@@ -1,12 +1,12 @@
-"""Check that the Tier-1 tests kill every kernel and CLI-writer mutant in MUTANTS.
+"""Check that the Tier-1 tests kill every kernel and CLI mutant in MUTANTS.
 
 Each mutant is one edit to a file of the kernel, the per-member rule, the
 count walk, the lexicographic merge and its batches, and the length rule
 `check_cap` in src/fishburn/enumeration.py or the anchored matcher and kill
 pass they call in src/fishburn/patterns.py, or to the fixed-width formatter
-of `fishburn list` or the report writer of `fishburn verify` in
-src/fishburn/cli.py: the file, a text that must occur there exactly once,
-and the text put in its place.  For each mutant the tool copies the parts
+of `fishburn list`, the report writer of `fishburn verify` or the start-up
+imports in src/fishburn/cli.py: the file, a text that must occur there
+exactly once, and the text put in its place.  For each mutant the tool copies the parts
 of the checkout the tests read (src, tests, perfbench, pyproject.toml and
 README.md) to a temporary directory, applies the edit to the copy and runs
 the Tier-1 command there, stopped at its first failing test (-x):
@@ -216,6 +216,10 @@ MUTANTS = [
     ("verify writes each report twice", CLI,
      "write([report])",
      "write([report, report])"),
+    ("cli imports verify at start", CLI,
+     "from fishburn.perm import ParseError, parse_values\n",
+     "from fishburn.perm import ParseError, parse_values\n"
+     "from fishburn.verify import SUITES, format_delimited, format_plain, format_structured, run_suite\n"),
 ]
 
 
