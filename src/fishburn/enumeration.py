@@ -47,7 +47,7 @@ from fishburn.perm import Permutation, _Record
 DEFAULT_COUNT_CAP = 14
 DEFAULT_LIST_CAP = 10
 SERIES_CAP = 64
-BATCH = 4096  # `members` hands words to `out` exactly this many at a time, but at the end
+BATCH = 4096  # `members` hands words to `out` this many at a time, once they are in place
 
 _PATTERN_321 = (3, 2, 1)
 
@@ -264,8 +264,8 @@ def members(
     query: AvoidanceQuery, *, cap: int = DEFAULT_LIST_CAP, out: Callable[[list[str]], object] | None = None
 ) -> list[str] | int:
     """The words of every member of the class, in lexicographic order, as a
-    list; or, with out, their number, once the merge below has handed them
-    to out in batches of exactly BATCH words (the last may hold fewer)."""
+    list; or, with out, their number, handing them to out in batches of
+    exactly BATCH words, each as soon as it fills (the last may hold fewer)."""
     check_cap(query.n, cap)
     n = query.n
     grow, target = _grower(query)
@@ -303,6 +303,10 @@ def members(
                 slots[s].clear()
             prev = word
             grow(*member, slots)
+            while out is not None and len(found) >= BATCH:
+                out(found[:BATCH])
+                del found[:BATCH]
+                handed += BATCH
         last[m] = prev
         if into and not deepest:
             m += 1
@@ -313,10 +317,8 @@ def members(
                 into += slots[s]
             pending[m] = None
             ended = m = m + 1
-        while out is not None and len(found) >= BATCH:
-            out(found[:BATCH])
-            del found[:BATCH]
-            handed += BATCH
-    if out is not None and found:
-        out(found)
-    return found if out is None else handed + len(found)
+    if out is None:
+        return found
+    for i in range(0, len(found), BATCH):  # the last size's final flush
+        out(found[i : i + BATCH])
+    return handed + len(found)

@@ -63,19 +63,13 @@ class PatternSet(_Record):
 
 
 def parse_pattern(text: str) -> ClassicalPattern:
-    """Parse one pattern from compact digits or space-separated integers."""
+    """Decode one pattern from compact digits or space-separated integers; the
+    records refuse a bad one, and their ValueError becomes a ParseError."""
     values = parse_values(text)
-    if not values:
-        raise ParseError("empty pattern")
-    if len(values) > MAX_PATTERN_SIZE:
-        raise ParseError(f"pattern {text!r} longer than {MAX_PATTERN_SIZE}")
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise ParseError(f"invalid pattern {text!r}: value {repeated[0]} repeats")
-    missing = set(range(1, len(values) + 1)) - set(values)
-    if missing:
-        raise ParseError(f"invalid pattern {text!r}: value {min(missing)} missing")
-    return ClassicalPattern(Permutation(values))
+    try:
+        return ClassicalPattern(Permutation(values))
+    except ValueError as exc:
+        raise ParseError(f"invalid pattern {text!r}: {exc}") from None
 
 
 def occurs_ending_at(word: Sequence[float], last: int, pattern: ClassicalPattern) -> bool:

@@ -83,7 +83,8 @@ class _Record:
 
 class Permutation(_Record):
     """An immutable rearrangement of {1, ..., n}: the validated body of a
-    classical pattern.
+    classical pattern.  Any other tuple is refused with a ValueError that
+    names the first value to repeat, or else the smallest value missing.
 
     >>> Permutation((2, 3, 1))
     Permutation((2, 3, 1))
@@ -97,8 +98,11 @@ class Permutation(_Record):
     def __post_init__(self):
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
-        if sorted(values) != list(range(1, len(values) + 1)):
-            raise ValueError(f"not a rearrangement of 1..{len(values)}: {values!r}")
+        missing = set(range(1, len(values) + 1)).difference(values)
+        if missing:  # k values miss none of 1..k iff they are 1..k, once each
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            why = f"value {repeated[0]} repeats" if repeated else f"value {min(missing)} missing"
+            raise ValueError(f"not a rearrangement of 1..{len(values)}: {why}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -144,20 +148,18 @@ def word_values(word: str) -> tuple[int, ...]:
 def parse_values(text: str, *, compact: bool = True) -> tuple[int, ...]:
     """Decode a space-separated or compact-digit value sequence.
 
-    A lone multi-digit token is one value per digit, unless compact is
-    False.  Values are not checked for forming a permutation here; callers
-    decide what invariants apply (full permutation, pattern, query prefix).
+    A lone multi-digit token, unless compact is False, must hold the digits
+    1-9 only, each then decoded as a spaced token is.  The records that take
+    the values check them (`Permutation`, `AvoidanceQuery`'s prefix).
     """
     tokens = text.split()
-    if not tokens:
-        return ()
     if compact and len(tokens) == 1 and len(tokens[0]) > 1:
         token = tokens[0]
         if not token.isdigit():
             raise ParseError(f"invalid token {token!r}: expected digits or space-separated integers")
         if "0" in token:
             raise ParseError(f"invalid token {token!r}: compact form uses digits 1-9 only")
-        return tuple(int(ch) for ch in token)
+        tokens = list(token)
     out = []
     for token in tokens:
         try:

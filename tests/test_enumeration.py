@@ -96,7 +96,7 @@ def test_a_word_past_latin_1_decodes():
 
 
 @pytest.mark.parametrize("row", TABLE_ROWS, ids=lambda r: r.row_id)
-def test_members_equal_the_sorted_visits_past_the_oracle(row):
+def test_members_past_the_oracle_are_sorted_and_grow_from_members(row):
     # n = 11 lies past the oracle's reach.  The list must be strictly
     # increasing, as long as the count, and each word less its maximum ';'
     # (chr(48 + 11)) must be a member of size 10; its output comes in
@@ -119,7 +119,7 @@ def test_members_hand_out_their_first_batch_early(monkeypatch):
     # Every member the merge grows looks its live sites up once in `_bits`,
     # so its calls count the walk's progress.  The 31,240 Fishburn
     # permutations of length 9 come in 8 batches, all but the last of
-    # exactly BATCH words, the first after 1,319 of the 6,643 members grown
+    # exactly BATCH words, the first after 1,250 of the 6,643 members grown
     # (a walk that sorts at the end would hand it out after the last); the
     # bound leaves room for other batch sizes.
     grown = 0
@@ -141,6 +141,12 @@ def test_members_hand_out_their_first_batch_early(monkeypatch):
     q = AvoidanceQuery(9, PatternSet(fishburn=True))
     assert members(q, cap=9, out=out) == 31240
     assert len(batches) >= 5 and at[0] <= grown // 4
+    # Each batch leaves as soon as it fills.  Once the last member is grown,
+    # only the final flush of the 5,335 members of length 8 is left, with
+    # less than one batch before it; a walk that cuts batches only between
+    # its rounds of growing also holds back the last round (10,760 words).
+    late = sum(len(batch) for when, batch in zip(at, batches) if when == grown)
+    assert late < count(AvoidanceQuery(8, q.patterns)) + enumeration.BATCH
     assert all(len(batch) == enumeration.BATCH for batch in batches[:-1])
     assert [word for batch in batches for word in batch] == members(q, cap=9)
 

@@ -49,6 +49,9 @@ def test_parse_pattern_errors():
         parse_pattern("")
     with pytest.raises(ParseError):
         parse_pattern("1234567891")  # too long for the compact encoding
+    # The records refuse a bad pattern, and the parser names its text.
+    with pytest.raises(ParseError, match=r"'1 2 3 4 5 6 7 8 9 10'.*1\.\.9"):
+        parse_pattern("1 2 3 4 5 6 7 8 9 10")
 
 
 def test_pattern_set_parse_and_duplicates():

@@ -114,6 +114,8 @@ def test_defaults_and_wrong_arity():
 def test_validations_raise_value_error():
     cases = [
         (lambda: Permutation((1, 3)), "not a rearrangement"),
+        (lambda: Permutation((1, 1)), r"not a rearrangement of 1\.\.2: value 1 repeats"),
+        (lambda: Permutation((1, 3)), r"not a rearrangement of 1\.\.2: value 2 missing"),
         (lambda: ClassicalPattern(Permutation(())), "pattern size must be 1..9"),
         (lambda: ClassicalPattern(Permutation(tuple(range(1, 11)))), "pattern size must be 1..9"),
         (lambda: PatternSet.parse("321,321"), "duplicate classical pattern"),

@@ -2,8 +2,9 @@
 
 Each mutant is one edit to a file of the kernel, the per-member rule, the
 count walk, the lexicographic merge and its batches, and the length rule
-`check_cap` in src/fishburn/enumeration.py or the anchored matcher and kill
-pass they call in src/fishburn/patterns.py, or to the fixed-width formatter
+`check_cap` in src/fishburn/enumeration.py, the anchored matcher and kill
+pass they call in src/fishburn/patterns.py or the rule of a pattern's body
+in src/fishburn/perm.py, or to the fixed-width formatter
 of `fishburn list`, the report writer of `fishburn verify` or the start-up
 imports in src/fishburn/cli.py: the file, a text that must occur there
 exactly once, and the text put in its place.  For each mutant the tool copies the parts
@@ -47,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEARCH = Path("src/fishburn/enumeration.py")
 MATCHER = Path("src/fishburn/patterns.py")
+PERM = Path("src/fishburn/perm.py")
 CLI = Path("src/fishburn/cli.py")
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 TIMEOUT_S = 600
@@ -177,6 +179,35 @@ MUTANTS = [
     ("empty member listed under a target", SEARCH,
      'if n == 0 and target < 0 else',
      'if n == 0 else'),
+    ("batch cut after the scheduling step", SEARCH,
+     "            while out is not None and len(found) >= BATCH:\n"
+     "                out(found[:BATCH])\n"
+     "                del found[:BATCH]\n"
+     "                handed += BATCH\n"
+     "        last[m] = prev\n"
+     "        if into and not deepest:\n"
+     "            m += 1\n"
+     "        elif m > ended:\n"
+     "            m -= 1  # the size below can still hand this one members\n"
+     "        else:\n"
+     "            for s in range(m, -1, -1):\n"
+     "                into += slots[s]\n"
+     "            pending[m] = None\n"
+     "            ended = m = m + 1\n",
+     "        last[m] = prev\n"
+     "        if into and not deepest:\n"
+     "            m += 1\n"
+     "        elif m > ended:\n"
+     "            m -= 1  # the size below can still hand this one members\n"
+     "        else:\n"
+     "            for s in range(m, -1, -1):\n"
+     "                into += slots[s]\n"
+     "            pending[m] = None\n"
+     "            ended = m = m + 1\n"
+     "        while out is not None and len(found) >= BATCH:\n"
+     "            out(found[:BATCH])\n"
+     "            del found[:BATCH]\n"
+     "            handed += BATCH\n"),
     ("batch one word long", SEARCH,
      "out(found[:BATCH])",
      "out(found[:BATCH + 1])"),
@@ -185,6 +216,9 @@ MUTANTS = [
      "if n > cap + 1:"),
     ("negative length passes the cap rule", SEARCH,
      "if n < 0:",
+     "if False:"),
+    ("permutation admits a gap", PERM,
+     "if missing:",
      "if False:"),
     ("nearest smaller flipped", MATCHER,
      "lo = max((f for f in named if f[0] < value), default=(0, None))[1]",
